@@ -875,6 +875,14 @@ def run_scaling(
             if best is None or rep["rows_per_sec"] > best["rows_per_sec"]:
                 best = rep
         results[cpus] = best
+    # both parallelism levels must compute the IDENTICAL answer, or the
+    # speedup is meaningless
+    for k in ("session_idx_sum", "dup_docs"):
+        if results[low].get(k) != results[high].get(k):
+            raise RuntimeError(
+                f"{job} checksum {k} differs: {results[low].get(k)} at "
+                f"{low} CPUs vs {results[high].get(k)} at {high} CPUs"
+            )
     ratio = high / low
     speedup = results[high]["rows_per_sec"] / results[low]["rows_per_sec"]
     return {
@@ -890,8 +898,7 @@ def run_scaling(
         "high_rows_per_sec": round(results[high]["rows_per_sec"], 1),
         "speedup": round(speedup, 3),
         "scaling_efficiency": round(speedup / ratio, 3),
-        # result checksums at each level: both parallelism levels must
-        # compute the IDENTICAL answer, or the speedup is meaningless
+        # result checksums at each level (checked equal above)
         **{
             f"{lvl}_{k}": results[c][k]
             for lvl, c in (("low", low), ("high", high))

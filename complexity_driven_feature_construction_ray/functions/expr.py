@@ -91,6 +91,23 @@ def register_op(
     }
 
 
+def registry_snapshot() -> dict | None:
+    """The driver's registry, to ship to worker processes with a task
+    (specs travel via cloudpickle); None when nothing is registered."""
+    return dict(CUSTOM_OPS) or None
+
+
+def install_registry(snapshot: dict | None) -> None:
+    """Make a driver snapshot AUTHORITATIVE in this worker process: warm
+    Ray workers outlive a run, so stale entries from a previous run
+    (same name, different implementation, or a name the new run expects
+    absent) must not leak into this run's kernels."""
+    snap = snapshot or {}
+    for k in [k for k in CUSTOM_OPS if k not in snap]:
+        del CUSTOM_OPS[k]
+    CUSTOM_OPS.update(snap)
+
+
 def custom(op: str, *parents: Feature, params: tuple = ()) -> Feature:
     spec = CUSTOM_OPS[op]
     assert len(parents) == spec["arity"], (op, len(parents))

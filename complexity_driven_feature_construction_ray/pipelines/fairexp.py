@@ -13,9 +13,9 @@ fmeasures/CTPB.py:31-73) Ray-Data-first:
 - SFFS repair (sequential floating forward selection,
   fairexp.py:299-420) is a driver loop; the floating-elimination
   fan-out — the reference's mp.Pool (fairexp.py:361-366) — runs as
-  parallel Ray tasks over a broadcast feature matrix, and the
-  speculative variant (fairexp_optimistic.py:356-460) evaluates the
-  next k additions in parallel, accepting the first improvement.
+  parallel Ray tasks over a broadcast feature matrix (search.Broadcast),
+  and the speculative variant (fairexp_optimistic.py:356-460) evaluates
+  the next k additions in parallel, accepting the first improvement.
 
 Semantics per measure (exact reference behavior):
 - ROD (ROD.py:101-141): per context z, with _0 = rows where
@@ -237,16 +237,25 @@ def _cv_f1(X: np.ndarray, y: np.ndarray, fold: np.ndarray, max_iter: int = 25) -
     return 2 * tp / denom if denom else 0.0
 
 
-def _eval_subset(X, names_sel, all_names, y, fold, sens, ctx, protected, max_iter):
-    idx = [all_names.index(n) for n in names_sel]
-    Xs = X[:, idx]
-    acc = _cv_f1(Xs, y, fold, max_iter)
+def _eval_subset(ctx, names_sel: list[str]) -> tuple[float, float]:
+    """(CV-f1, ROD) of one feature subset; `ctx` is the repair call's
+    broadcast (X, names, y, fold, sensitive, contexts, protected,
+    max_iter)."""
     from .model import LogisticRegressionNumpy, _standardize
 
+    X, all_names, y, fold, sens, ctx_cols, protected, max_iter = ctx
+    Xs = X[:, [all_names.index(n) for n in names_sel]]
+    acc = _cv_f1(Xs, y, fold, max_iter)
     Xs2, _ = _standardize(Xs, Xs)
     pred = LogisticRegressionNumpy(C=1.0, max_iter=max_iter).fit(Xs2, y).predict(Xs2)
-    fair = rod_arrays(pred, sens, ctx, protected)
+    fair = rod_arrays(pred, sens, ctx_cols, protected)
     return acc, fair
+
+
+def _eval_mask(ctx, mask: np.ndarray) -> tuple[float, float, float]:
+    names = ctx[1]
+    acc, fair = _eval_subset(ctx, [names[i] for i in np.flatnonzero(mask)])
+    return acc, fair, float(-mask.sum())
 
 
 def fairexp_lifecycle(
@@ -388,39 +397,25 @@ def sffs_repair(
 
     speculative > 1 enables the optimistic variant
     (fairexp_optimistic.py:356-460): the next `speculative` additions
-    are evaluated in parallel and the FIRST improving one (in order) is
-    accepted; later speculative results are logged but not accepted
-    (they were evaluated against the pre-acceptance set)."""
+    are evaluated together (in parallel with `use_ray`) and the FIRST
+    improving one (in order) is accepted; later speculative results are
+    logged but not accepted (they were evaluated against the
+    pre-acceptance set). Width 1 is plain SFFS. The answer does not
+    depend on `use_ray`."""
     from .model import stratified_folds
+    from .search import Broadcast
 
     y = np.asarray(y).astype(np.int8)
     fold = stratified_folds(y, cv, seed)
-    args = (X, names, y, fold, sensitive, contexts, protected, max_iter)
-
-    remote_eval = None
-    if use_ray:
-        import ray
-
-        X_ref = ray.put(X)
-
-        @ray.remote(num_cpus=1)
-        def _remote(names_sel, _X=X_ref):
-            import ray as _ray
-
-            Xv = _ray.get(_X) if isinstance(_X, _ray.ObjectRef) else _X
-            return _eval_subset(
-                Xv, names_sel, names, y, fold, sensitive, contexts, protected, max_iter
-            )
-
-        remote_eval = _remote
+    shared = Broadcast(
+        (X, names, y, fold, sensitive, contexts, protected, max_iter), use_ray=use_ray
+    )
+    width = max(1, speculative)
 
     current: list[str] = []
     explored: set[tuple] = set()
     registered: list[tuple] = []
     best_acc, best_fair = 0.0, 0.0
-
-    def evaluate(sel: list[str]):
-        return _eval_subset(X, sel, names, y, fold, sensitive, contexts, protected, max_iter)
 
     def floating_eliminate():
         nonlocal best_acc, best_fair, current
@@ -432,12 +427,7 @@ def sffs_repair(
                     cands.append(list(sub))
         if not cands:
             return
-        if remote_eval is not None:
-            import ray
-
-            results = ray.get([remote_eval.remote(c) for c in cands])
-        else:
-            results = [evaluate(c) for c in cands]
+        results = shared.map(_eval_subset, cands)
         for c, (a, fr) in zip(cands, results):
             explored.add(tuple(c))
             registered.append((c, a, fr))
@@ -449,50 +439,33 @@ def sffs_repair(
 
     i = 0
     while i < len(names):
-        if speculative > 1 and remote_eval is not None:
-            import ray
-
-            batch: list[tuple[int, list[str]]] = []
-            j = i
-            while j < len(names) and len(batch) < speculative:
-                if names[j] not in current:
-                    trial = sorted([*current, names[j]])
-                    if tuple(trial) not in explored:
-                        batch.append((j, trial))
-                j += 1
-            if not batch:
-                i = j
-                continue
-            results = ray.get([remote_eval.remote(t) for _, t in batch])
-            accepted = None
-            for (jj, trial), (acc, fair) in zip(batch, results):
-                explored.add(tuple(trial))
-                registered.append((trial, acc, fair))
-                if accepted is None and acc > best_acc:
-                    accepted = (jj, trial, acc, fair)
-            if accepted is None:
-                i = j
-                continue
-            jj, trial, acc, fair = accepted
-            best_acc, best_fair = acc, fair
-            current = trial
-            floating_eliminate()
-            i = jj + 1
+        # the next `width` unexplored additions, evaluated together
+        batch: list[tuple[int, list[str]]] = []
+        j = i
+        while j < len(names) and len(batch) < width:
+            if names[j] not in current:
+                trial = sorted([*current, names[j]])
+                if tuple(trial) not in explored:
+                    batch.append((j, trial))
+            j += 1
+        if not batch:
+            i = j
             continue
-
-        name = names[i]
-        i += 1
-        trial = sorted([*current, name])
-        tkey = tuple(trial)
-        if tkey in explored or name in current:
+        results = shared.map(_eval_subset, [t for _, t in batch])
+        accepted = None
+        for (jj, trial), (acc, fair) in zip(batch, results):
+            explored.add(tuple(trial))
+            registered.append((trial, acc, fair))
+            if accepted is None and acc > best_acc:
+                accepted = (jj, trial, acc, fair)
+        if accepted is None:
+            i = j
             continue
-        explored.add(tkey)
-        acc, fair = evaluate(trial)
-        registered.append((trial, acc, fair))
-        if acc > best_acc:
-            best_acc, best_fair = acc, fair
-            current = trial
-            floating_eliminate()
+        jj, trial, acc, fair = accepted
+        best_acc, best_fair = acc, fair
+        current = trial
+        floating_eliminate()
+        i = jj + 1
 
     # Pareto front over (acc, fairness) — fairexp.py:235-254
     front = []
@@ -581,6 +554,7 @@ def nsga2_search(
     reference's _evaluate (:169-173). Deterministic under `seed`.
     Returns the final non-dominated front."""
     from .model import stratified_folds
+    from .search import Broadcast
 
     y = np.asarray(y).astype(np.int8)
     fold = stratified_folds(y, cv, seed)
@@ -597,42 +571,14 @@ def nsga2_search(
             mask[rng.integers(n_var)] = True
         return mask
 
-    remote_eval = None
-    if use_ray:
-        import ray
-
-        X_ref = ray.put(X)
-
-        @ray.remote(num_cpus=1)
-        def _remote(mask, _X=X_ref):
-            import ray as _ray
-
-            Xv = _ray.get(_X) if isinstance(_X, _ray.ObjectRef) else _X
-            sel = [names[i] for i in np.flatnonzero(mask)]
-            acc, fair = _eval_subset(
-                Xv, sel, names, y, fold, sensitive, contexts, protected, max_iter
-            )
-            return acc, fair, float(-mask.sum())
-
-        remote_eval = _remote
+    shared = Broadcast(
+        (X, names, y, fold, sensitive, contexts, protected, max_iter), use_ray=use_ray
+    )
 
     def evaluate_all(masks: list[np.ndarray]) -> np.ndarray:
-        fresh = [m for m in masks if tuple(m) not in cache]
-        uniq = {tuple(m): m for m in fresh}
+        uniq = {tuple(m): m for m in masks if tuple(m) not in cache}
         if uniq:
-            if remote_eval is not None:
-                import ray
-
-                vals = ray.get([remote_eval.remote(m) for m in uniq.values()])
-            else:
-                vals = []
-                for m in uniq.values():
-                    sel = [names[i] for i in np.flatnonzero(m)]
-                    acc, fair = _eval_subset(
-                        X, sel, names, y, fold, sensitive, contexts, protected, max_iter
-                    )
-                    vals.append((acc, fair, float(-m.sum())))
-            cache.update(zip(uniq.keys(), vals))
+            cache.update(zip(uniq, shared.map(_eval_mask, list(uniq.values()))))
         return np.array([cache[tuple(m)] for m in masks])
 
     # unique initial population (duplicate elimination applies from

@@ -8,9 +8,9 @@ stages, plus the north rule's temporal layer:
     -> token-stats projection (map_batches, zero-copy Arrow)
     -> streaming column stats -> raw features
     -> complexity-driven search on a seeded driver-side sample
-       (scoring actor pool)
+       (scoring as Ray tasks over a broadcast sample)
     -> distributed fit of the selected plans (mergeable partials)
-    -> full-table backfill (FeatureBackfill actor pool)
+    -> full-table backfill (FeatureBackfill via map_batches tasks)
     -> as-of join of per-source feature events (leak-free attach)
     -> lag/lead + sessionization per source
 

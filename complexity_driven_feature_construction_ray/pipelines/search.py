@@ -7,11 +7,13 @@ budget (reference feature_selection/ComplexityDrivenFeatureConstruction.py:
 - plan enumeration, sympy dedup, ε-gate, Pareto/AICc selection are
   driver-side (O(candidates), tiny — SURVEY.md §1.5: "the data is big,
   the plan is small")
-- candidate SCORING is the heavy stage and runs on a dedicated scoring
-  actor pool: a ray.data Dataset *of candidate plans* mapped through a
-  stateful actor class that holds the (broadcast) scoring sample, fold
-  ids and target once per actor (replacing the reference's fork-globals
-  mp.Pool, run_evaluation.py:433-452 / my_globale_module.py:1-18)
+- candidate SCORING is the heavy stage and fans out as Ray tasks over
+  one broadcast context (`Broadcast`): the scoring sample, fold ids and
+  target are `ray.put` once per run and deserialized once per worker
+  process (replacing the reference's fork-globals mp.Pool,
+  run_evaluation.py:433-452 / my_globale_module.py:1-18). Tasks, not a
+  dedicated actor pool: actor startup costs more than the scoring
+  (stages/backfill.py has the measured gap)
 
 Evaluation semantics per candidate mirror run_evaluation.py:247-398:
 per-fold fit of stateful nodes on the train slice only, transform of
@@ -24,6 +26,7 @@ features always passing (:370-371).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import pickle
 import time
@@ -37,8 +40,10 @@ from ..functions.expr import (
     UNARY_OPS,
     binary,
     groupbythen,
+    install_registry,
     is_applicable,
     onehot,
+    registry_snapshot,
     unary,
 )
 from ..functions.kernels import evaluate, fit_on_arrays
@@ -126,118 +131,82 @@ def _eval_candidate(feat: Feature, cols, y, fold, c_grid, max_iter=25):
     return (score, best_c, ll, hasher.hexdigest(), False)
 
 
-_WORKER_COLS: dict = {}  # per-worker-process cache of the scoring sample
-_SCORE_REMOTE = None  # lazily-created ray.remote wrapper (exported once)
+_WORKER_CTX: dict = {}  # per-worker-process cache of broadcast contexts
 
 
-def _cached_broadcast(wrapped_blob_ref):
-    """Resolve the broadcast pickled sample through the per-worker-
-    process cache — ONE deserialization per worker, however many tasks
-    land on it. `wrapped_blob_ref` is a 1-tuple so Ray does not
-    auto-resolve the ObjectRef before the task body runs. Shared by the
-    scoring / nested-CV / side-metrics fan-outs."""
+def _resolve_ctx(wrapped_ref):
+    """Resolve a broadcast context through the per-worker-process cache:
+    ONE deserialization per worker, however many tasks land on it.
+    `wrapped_ref` is a 1-tuple so Ray does not auto-resolve the ObjectRef
+    before the task body runs."""
     import ray
 
-    (blob_ref,) = wrapped_blob_ref
-    key = blob_ref.hex()
-    cols = _WORKER_COLS.get(key)
-    if cols is None:
-        if len(_WORKER_COLS) > 4:
-            _WORKER_COLS.clear()
-        cols = _WORKER_COLS[key] = pickle.loads(ray.get(blob_ref))
-    return cols
+    (ref,) = wrapped_ref
+    key = ref.hex()
+    ctx = _WORKER_CTX.get(key)
+    if ctx is None:
+        if len(_WORKER_CTX) > 4:  # contexts of prior runs are dead weight
+            _WORKER_CTX.clear()
+        ctx = _WORKER_CTX[key] = pickle.loads(ray.get(ref))
+    return ctx
 
 
-def _install_ops(custom_ops):
-    """Make the driver's registry snapshot AUTHORITATIVE in this worker
-    process: warm Ray workers outlive a run, so stale entries from a
-    previous run (same name, different implementation — or a name the
-    new run expects absent) must not leak into candidate scoring."""
-    from ..functions.expr import CUSTOM_OPS as _REG
-
-    snap = custom_ops or {}
-    for k in [k for k in _REG if k not in snap]:
-        del _REG[k]
-    _REG.update(snap)
+def _map_batch(fn, wrapped_ref, registry, items):
+    install_registry(registry)
+    ctx = _resolve_ctx(wrapped_ref)
+    return [fn(ctx, item) for item in items]
 
 
-def _score_chunk(wrapped_blob_ref, plan_blobs, y, fold, c_grid, max_iter, custom_ops):
-    """Task-mode scoring kernel: the sample ships once via the object
-    store and is deserialized once per WORKER PROCESS (module cache) —
-    the same amortization as a dedicated actor without paying
-    actor-process startup (see stages/backfill.py:_task_backfill for
-    the measured gap). `wrapped_blob_ref` is a 1-tuple so Ray does not
-    auto-resolve the ObjectRef before the task body runs."""
-    _install_ops(custom_ops)
-    cols = _cached_broadcast(wrapped_blob_ref)
-    out = []
-    for blob in plan_blobs:
-        feat: Feature = pickle.loads(blob)
-        try:
-            r = _eval_candidate(feat, cols, y, fold, c_grid, max_iter)
-        except Exception:
-            # a failing candidate is dropped, not fatal (reference
-            # run_evaluation.py:401-414 evaluate_catch)
-            r = (0.0, 1.0, -np.inf, f"error:{feat.name}", True)
-        out.append((feat.name, *r))
-    return out
+@functools.cache
+def _map_batch_task():
+    import ray
+
+    return ray.remote(num_cpus=1)(_map_batch)
 
 
-class CandidateScorer:
-    """Scoring-pool actor: candidate plans in, scores out.
+class Broadcast:
+    """A context shared by every item of one search, rescore or repair
+    call, and the fan-out over it.
 
-    The sample (base columns + target + fold ids) ships once per actor
-    via constructor args — the Ray-native replacement for the
-    reference's fork-inherited module globals."""
+    `map(fn, items, batch)` returns `[fn(ctx, item) for item in items]`.
+    With `use_ray`, and more items than fit one batch, it runs as Ray
+    tasks of `batch` items each; the context is `ray.put` once, on the
+    first such map, and later maps reuse it. With fewer items one task
+    would run nothing in parallel, so the map runs in-process. `fn` must
+    be a module-level function: it travels by reference. Each task
+    installs the driver's op-registry snapshot before it runs."""
 
-    def __init__(
-        self,
-        cols_blob: bytes,
-        y: np.ndarray,
-        fold: np.ndarray,
-        c_grid,
-        max_iter: int,
-        custom_ops: dict | None = None,
-    ):
-        self.cols = pickle.loads(cols_blob)
-        self.y = np.asarray(y)
-        self.fold = np.asarray(fold)
-        self.c_grid = tuple(c_grid)
-        self.max_iter = max_iter
-        if custom_ops:
-            # user-registered ops live per-process: install the driver's
-            # registry snapshot in this actor (specs ship via cloudpickle)
-            from ..functions.expr import CUSTOM_OPS
+    def __init__(self, ctx, *, use_ray: bool = True):
+        self.ctx = ctx
+        self.use_ray = use_ray
+        self._ref = None
 
-            CUSTOM_OPS.update(custom_ops)
+    def map(self, fn, items, batch: int = 1) -> list:
+        items = list(items)
+        if not self.use_ray or len(items) <= batch:
+            return [fn(self.ctx, item) for item in items]
+        import ray
 
-    def __call__(self, batch: dict) -> dict:
-        names, scores, cs, lls, hashes, consts = [], [], [], [], [], []
-        for blob in batch["plan"]:
-            feat: Feature = pickle.loads(blob)
-            try:
-                s, c, ll, vh, const = _eval_candidate(
-                    feat, self.cols, self.y, self.fold, self.c_grid, self.max_iter
-                )
-            except Exception:
-                # a failing candidate is dropped, not fatal (reference
-                # run_evaluation.py:401-414 evaluate_catch); marked
-                # constant so the driver discards it
-                s, c, ll, vh, const = 0.0, 1.0, -np.inf, f"error:{feat.name}", True
-            names.append(feat.name)
-            scores.append(s)
-            cs.append(c)
-            lls.append(ll)
-            hashes.append(vh)
-            consts.append(const)
-        return {
-            "name": np.array(names, dtype=object),
-            "score": np.array(scores),
-            "best_C": np.array(cs),
-            "loglik": np.array(lls),
-            "vhash": np.array(hashes, dtype=object),
-            "const": np.array(consts),
-        }
+        if self._ref is None:
+            self._ref = ray.put(pickle.dumps(self.ctx))
+        registry = registry_snapshot()
+        task = _map_batch_task()
+        refs = [
+            task.remote(fn, (self._ref,), registry, items[i : i + batch])
+            for i in range(0, len(items), batch)
+        ]
+        return [r for out in ray.get(refs) for r in out]
+
+
+def _score_one(ctx, feat: Feature) -> tuple:
+    cols, y, fold, c_grid, max_iter = ctx
+    try:
+        return _eval_candidate(feat, cols, y, fold, c_grid, max_iter)
+    except Exception:
+        # a failing candidate is dropped, not fatal (reference
+        # run_evaluation.py:401-414 evaluate_catch); marked constant so
+        # the driver discards it
+        return (0.0, 1.0, -np.inf, f"error:{feat.name}", True)
 
 
 def multiple_cv_rescore(
@@ -256,50 +225,25 @@ def multiple_cv_rescore(
     multiple-CV stabilization pass (reference evaluation/
     multiple_cv_scikit.py): each candidate scored under `repeats`
     different stratified fold splits; returns name -> (mean, std) of the
-    per-repeat scores. Fan-out is (candidate x repeat) Ray tasks over a
-    broadcast sample."""
-    from .model import C_GRID, stratified_folds
-
+    per-repeat scores. Fan-out is one task per (candidate, repeat) over
+    a broadcast sample."""
     c_grid = tuple(c_grid or C_GRID)
     y = np.asarray(y).astype(np.int8)
     folds = [stratified_folds(y, cv, seed + r) for r in range(repeats)]
-
-    if use_ray and len(features) * repeats > 2:
-        import ray
-
-        from ..functions.expr import CUSTOM_OPS
-
-        blob_ref = ray.put(pickle.dumps(cols))
-        ops_snapshot = dict(CUSTOM_OPS)
-
-        @ray.remote(num_cpus=1)
-        def score_one(feat_blob, fold, _blob=blob_ref, _ops=ops_snapshot):
-            # snapshot is AUTHORITATIVE in the warm worker (see
-            # _install_ops): stale names from a previous run must not
-            # leak into this run's candidate scoring
-            _install_ops(_ops)
-            c = pickle.loads(ray.get(_blob) if isinstance(_blob, ray.ObjectRef) else _blob)
-            feat = pickle.loads(feat_blob)
-            s, *_ = _eval_candidate(feat, c, y, fold, c_grid, max_iter)
-            return feat.name, s
-
-        refs = [
-            score_one.remote(pickle.dumps(f), fold) for f in features for fold in folds
-        ]
-        results = ray.get(refs)
-    else:
-        results = []
-        for f in features:
-            for fold in folds:
-                s, *_ = _eval_candidate(f, cols, y, fold, c_grid, max_iter)
-                results.append((f.name, s))
-
+    items = [(f, r) for f in features for r in range(repeats)]
+    shared = Broadcast((cols, y, folds, c_grid, max_iter), use_ray=use_ray)
     by_name: dict[str, list[float]] = {}
-    for name, s in results:
-        by_name.setdefault(name, []).append(s)
+    for (f, _r), s in zip(items, shared.map(_repeat_score, items)):
+        by_name.setdefault(f.name, []).append(s)
     return {
         name: (float(np.mean(v)), float(np.std(v))) for name, v in by_name.items()
     }
+
+
+def _repeat_score(ctx, item) -> float:
+    cols, y, folds, c_grid, max_iter = ctx
+    feat, r = item
+    return _eval_candidate(feat, cols, y, folds[r], c_grid, max_iter)[0]
 
 
 def _nested_cv_one(feat: Feature, cols, y, fold, c_grid, max_iter) -> tuple[float, float]:
@@ -361,41 +305,24 @@ def nested_cv_rescore(
 ) -> dict[str, tuple[float, float]]:
     """Nested-CV re-scoring of (top-k) candidates — the reference's
     nested_cv pass (evaluation/nested_cv_scikit.py; there with 20 outer
-    folds, here parameterized). One Ray task per candidate over the
+    folds, here parameterized). One task per candidate over the
     broadcast sample; returns name -> (mean, std) of outer-fold
     scores."""
-    from .model import C_GRID, stratified_folds
-
     c_grid = tuple(c_grid or C_GRID)
     y = np.asarray(y).astype(np.int8)
     fold = stratified_folds(y, cv, seed)
+    shared = Broadcast((cols, y, fold, c_grid, max_iter), use_ray=use_ray)
+    return {f.name: r for f, r in zip(features, shared.map(_nested_one, features))}
 
-    def safe_one(feat, c):
+
+def _nested_one(ctx, feat: Feature) -> tuple[float, float]:
+    try:
+        return _nested_cv_one(feat, *ctx)
+    except Exception:
         # a candidate whose refit fails on some slice (e.g. MDLP finding
         # no cut) scores (0.0, 0.0), as in the reference's except branch
         # (nested_cv_scikit.py:107-110) — never aborts the pass
-        try:
-            return _nested_cv_one(feat, c, y, fold, c_grid, max_iter)
-        except Exception:
-            return (0.0, 0.0)
-
-    if use_ray and len(features) > 1:
-        import ray
-
-        from ..functions.expr import CUSTOM_OPS
-
-        blob_ref = ray.put(pickle.dumps(cols))
-        ops_snapshot = dict(CUSTOM_OPS) or None
-
-        @ray.remote(num_cpus=1)
-        def nested_one(feat_blob, _blob=blob_ref, _ops=ops_snapshot):
-            _install_ops(_ops)
-            c = _cached_broadcast((_blob,))
-            feat = pickle.loads(feat_blob)
-            return feat.name, safe_one(feat, c)
-
-        return dict(ray.get([nested_one.remote(pickle.dumps(f)) for f in features]))
-    return {f.name: safe_one(f, cols) for f in features}
+        return (0.0, 0.0)
 
 
 def candidate_side_metrics(
@@ -471,46 +398,27 @@ def compute_side_metrics(
     max_iter: int = 25,
     use_ray: bool = True,
 ) -> list[Scored]:
-    """Attach side metrics to each Scored (fan-out: one Ray task per
+    """Attach side metrics to each Scored (fan-out: one task per
     candidate over a broadcast sample); returns the same objects."""
-    from .model import stratified_folds
-
     y = np.asarray(y).astype(np.int8)
     fold = stratified_folds(y, cv, seed)
-    _NAN_SIDE = {
-        k: float("nan")
-        for k in ("rss", "aic_k1", "bic_k1", "aicc_k1", "aic_kc", "bic_kc", "aicc_kc", "consistency")
-    }
-
-    def safe_side(feat, c, best_C):
-        try:
-            return candidate_side_metrics(feat, c, y, fold, best_C, max_iter)
-        except Exception:  # drop-not-crash, as in the scoring fan-out
-            return dict(_NAN_SIDE)
-
-    if use_ray and len(scored) > 1:
-        import ray
-
-        from ..functions.expr import CUSTOM_OPS
-
-        blob_ref = ray.put(pickle.dumps(cols))
-        ops_snapshot = dict(CUSTOM_OPS) or None
-
-        @ray.remote(num_cpus=1)
-        def side_one(feat_blob, best_C, _blob=blob_ref, _ops=ops_snapshot):
-            _install_ops(_ops)
-            c = _cached_broadcast((_blob,))
-            feat = pickle.loads(feat_blob)
-            return feat.name, safe_side(feat, c, best_C)
-
-        got = dict(
-            ray.get([side_one.remote(pickle.dumps(s.feature), s.best_C) for s in scored])
-        )
-    else:
-        got = {s.name: safe_side(s.feature, cols, s.best_C) for s in scored}
-    for s in scored:
-        s.side = got[s.name]
+    shared = Broadcast((cols, y, fold, None, max_iter), use_ray=use_ray)
+    items = [(s.feature, s.best_C) for s in scored]
+    for s, side in zip(scored, shared.map(_side_one, items)):
+        s.side = side
     return scored
+
+
+_SIDE_KEYS = ("rss", "aic_k1", "bic_k1", "aicc_k1", "aic_kc", "bic_kc", "aicc_kc", "consistency")
+
+
+def _side_one(ctx, item) -> dict:
+    cols, y, fold, _c_grid, max_iter = ctx
+    feat, best_C = item
+    try:
+        return candidate_side_metrics(feat, cols, y, fold, best_C, max_iter)
+    except Exception:  # drop-not-crash, as in the scoring fan-out
+        return dict.fromkeys(_SIDE_KEYS, float("nan"))
 
 
 def pareto_front(scored: list[Scored]) -> list[Scored]:
@@ -558,12 +466,10 @@ class ComplexityDrivenSearch:
         max_seconds: float | None = None,
         hard_c_cap: int = 10,
         max_onehot_values: int = 20,
-        scorer_concurrency: int | None = None,
         score_batch: int = 4,
         lr_max_iter: int = 25,
         use_ray: bool = True,
         instance_selection: bool = False,
-        scorer_mode: str = "tasks",
         strategy: str = "layered",
         tree_depth: int = 3,
         tree_frontier_cap: int | None = None,
@@ -581,17 +487,12 @@ class ComplexityDrivenSearch:
         self.max_seconds = max_seconds
         self.hard_c_cap = hard_c_cap
         self.max_onehot_values = max_onehot_values
-        self.scorer_concurrency = scorer_concurrency
         self.score_batch = score_batch
         self.lr_max_iter = lr_max_iter
         self.use_ray = use_ray
         # reference Config 'instance.selection' (EvaluationFramework.py:
         # 193-199): condense the scoring sample by CNN before the search
         self.instance_selection = instance_selection
-        # "tasks" (default): warm task pool + per-worker sample cache —
-        # no actor startup on cold runs; "actors": dedicated pool (the
-        # right shape if per-candidate state ever becomes heavy)
-        self.scorer_mode = scorer_mode
         # "layered" = the reference's complexity-budget BFS;
         # "explorekit" = one-shot Fui/Foi/Foui enumeration
         # (candidate_generation/explorekit/Generator.py);
@@ -605,118 +506,14 @@ class ComplexityDrivenSearch:
         # wider schemas — None = faithful)
         self.tree_depth = tree_depth
         self.tree_frontier_cap = tree_frontier_cap
-        self._pool = None
-        self._actors: list = []
-        self._blob_ref = None
 
     # -- scoring -------------------------------------------------------------
 
-    def _score_layer(self, layer: list[Feature], cols, y, fold) -> list[tuple]:
-        if not layer:
-            return []
-        if self.use_ray and len(layer) > 2:
-            return self._score_ray(layer, cols, y, fold)
-        out = []
-        for f in layer:
-            try:
-                out.append(
-                    (f,) + _eval_candidate(f, cols, y, fold, self.c_grid, self.lr_max_iter)
-                )
-            except Exception:  # semantic skip, as in the ray path
-                out.append((f, 0.0, 1.0, -np.inf, f"error:{f.name}", True))
-        return out
-
-    def _ensure_pool(self, cols, y, fold, want: int):
-        """Dedicated scoring actor pool, created on first use and grown on
-        demand up to min(want, CPUs-1) — spinning up a full CPU-wide pool
-        for a 10-chunk layer pays more in actor startup than the scoring
-        costs. The sample ships once per actor through a shared ObjectRef."""
-        import ray
-
-        n_cpu = int(ray.cluster_resources().get("CPU", 4))
-        cap = self.scorer_concurrency or max(2, n_cpu - 1)
-        target = min(cap, max(2, want))
-        if len(self._actors) >= target:
-            if self._pool is None:
-                self._pool = ray.util.ActorPool(self._actors)
-            return self._pool
-        if self._blob_ref is None:
-            self._blob_ref = ray.put(pickle.dumps(cols))
-        from ..functions.expr import CUSTOM_OPS
-
-        Actor = ray.remote(num_cpus=1)(CandidateScorer)
-        self._actors.extend(
-            Actor.remote(
-                self._blob_ref, y, fold, self.c_grid, self.lr_max_iter,
-                dict(CUSTOM_OPS) or None,
-            )
-            for _ in range(target - len(self._actors))
-        )
-        self._pool = ray.util.ActorPool(self._actors)
-        return self._pool
-
-    def _score_ray(self, layer: list[Feature], cols, y, fold) -> list[tuple]:
-        chunks = [
-            layer[i : i + self.score_batch] for i in range(0, len(layer), self.score_batch)
-        ]
-        if self.scorer_mode == "tasks":
-            import ray
-
-            from ..functions.expr import CUSTOM_OPS
-
-            if self._blob_ref is None:
-                self._blob_ref = ray.put(pickle.dumps(cols))
-            ops = dict(CUSTOM_OPS) or None
-            global _SCORE_REMOTE
-            if _SCORE_REMOTE is None:
-                _SCORE_REMOTE = ray.remote(num_cpus=1)(_score_chunk)
-            fn = _SCORE_REMOTE
-            refs = [
-                fn.remote(
-                    (self._blob_ref,),
-                    [pickle.dumps(f) for f in ch],
-                    y,
-                    fold,
-                    self.c_grid,
-                    self.lr_max_iter,
-                    ops,
-                )
-                for ch in chunks
-            ]
-            by_name = {
-                name: rest for out in ray.get(refs) for (name, *rest) in out
-            }
-            return [
-                (f, float(r[0]), float(r[1]), float(r[2]), str(r[3]), bool(r[4]))
-                for f in layer
-                for r in (by_name[f.name],)
-            ]
-        pool = self._ensure_pool(cols, y, fold, want=len(chunks))
-        batches = [
-            {"plan": np.array([pickle.dumps(f) for f in ch], dtype=object)} for ch in chunks
-        ]
-        outs = list(pool.map(lambda a, b: a.__call__.remote(b), batches))
-        by_name = {}
-        for out in outs:
-            for i in range(len(out["name"])):
-                by_name[out["name"][i]] = tuple(
-                    out[k][i] for k in ("score", "best_C", "loglik", "vhash", "const")
-                )
-        return [
-            (f, float(r[0]), float(r[1]), float(r[2]), str(r[3]), bool(r[4]))
-            for f in layer
-            for r in (by_name[f.name],)
-        ]
-
-    def _shutdown_pool(self):
-        if self._actors:
-            import ray
-
-            for a in self._actors:
-                ray.kill(a)
-        self._pool = None
-        self._actors = []
-        self._blob_ref = None
+    def _score_layer(self, layer: list[Feature], shared: Broadcast) -> list[tuple]:
+        """(feature, score, best_C, loglik, vhash, const) per candidate,
+        in layer order; tasks of `score_batch` candidates each."""
+        scores = shared.map(_score_one, layer, self.score_batch)
+        return [(f, *r) for f, r in zip(layer, scores)]
 
     @staticmethod
     def _harmonic_stop(champions: dict, survivors: dict, c: int) -> bool:
@@ -831,27 +628,26 @@ class ComplexityDrivenSearch:
 
         champions: dict[int, Scored] = {}  # best-so-far after each layer
         c_limit = self.c_max if self.c_max is not None else self.hard_c_cap
-        try:
-            if self.strategy == "explorekit":
-                self._run_explorekit(
-                    cols, y, fold, clean_raws, parked, cat_raws,
-                    admit, survivors, all_scored, scores, seen_values, stats, champions,
-                )
-            elif self.strategy == "tree":
-                self._run_tree(
-                    cols, y, fold, clean_raws, parked, cat_raws,
-                    admit, survivors, all_scored, scores, seen_values, stats, champions,
-                )
-            else:
-                self._run_layers(
-                    c_limit, t0, cols, y, fold, clean_raws, parked, cat_raws,
-                    admit, survivors, all_scored, scores, seen_values, stats, champions,
-                )
-        finally:
-            # a failed run must not leave a stale broadcast sample or a
-            # live pool behind: a retry would silently score against the
-            # previous run's columns
-            self._shutdown_pool()
+        # one broadcast per run, held only here: a retry builds its own,
+        # so it can never score against a previous run's sample
+        shared = Broadcast(
+            (cols, y, fold, self.c_grid, self.lr_max_iter), use_ray=self.use_ray
+        )
+        if self.strategy == "explorekit":
+            self._run_explorekit(
+                shared, clean_raws, parked, cat_raws,
+                admit, survivors, all_scored, scores, seen_values, stats, champions,
+            )
+        elif self.strategy == "tree":
+            self._run_tree(
+                shared, clean_raws, parked, cat_raws,
+                admit, survivors, all_scored, scores, seen_values, stats, champions,
+            )
+        else:
+            self._run_layers(
+                c_limit, t0, shared, clean_raws, parked, cat_raws,
+                admit, survivors, all_scored, scores, seen_values, stats, champions,
+            )
         flat = list(all_scored.values())
         best = max(flat, key=lambda s: s.score)
         front = pareto_front(flat)
@@ -861,7 +657,7 @@ class ComplexityDrivenSearch:
         return SearchResult(survivors, all_scored, best, front, aicc, stats)
 
     def _run_layers(
-        self, c_limit, t0, cols, y, fold, clean_raws, parked, cat_raws,
+        self, c_limit, t0, shared, clean_raws, parked, cat_raws,
         admit, survivors, all_scored, scores, seen_values, stats, champions,
     ):
         for c in range(1, c_limit + 1):
@@ -905,7 +701,7 @@ class ComplexityDrivenSearch:
                             )
                         )
 
-            results = self._score_layer(layer, cols, y, fold)
+            results = self._score_layer(layer, shared)
             kept: list[Scored] = []
             for f, score, best_c, ll, vhash, const in results:
                 if const:
@@ -940,7 +736,7 @@ class ComplexityDrivenSearch:
                 break
 
     def _run_explorekit(
-        self, cols, y, fold, clean_raws, parked, cat_raws,
+        self, shared, clean_raws, parked, cat_raws,
         admit, survivors, all_scored, scores, seen_values, stats, champions,
     ):
         """ExploreKit's one-shot enumeration instead of the layered
@@ -959,7 +755,7 @@ class ComplexityDrivenSearch:
                 gbt_aggs=self.gbt_aggs,
             )
         )
-        results = self._score_layer(layer, cols, y, fold)
+        results = self._score_layer(layer, shared)
         for f, score, best_c, ll, vhash, const in results:
             if const:
                 stats["constant"] += 1
@@ -976,7 +772,7 @@ class ComplexityDrivenSearch:
             champions[1] = max(all_scored.values(), key=lambda s: s.score)
 
     def _run_tree(
-        self, cols, y, fold, clean_raws, parked, cat_raws,
+        self, shared, clean_raws, parked, cat_raws,
         admit, survivors, all_scored, scores, seen_values, stats, champions,
     ):
         """TreeGenerator's depth-layered BFS (reference
@@ -986,14 +782,14 @@ class ComplexityDrivenSearch:
         transformation over chain(*F)), for tree_depth expansion rounds.
         The reference enumerates without score pruning (materialize only
         reports transform failures); here each layer runs through the
-        engine's shared constant/sympy/value dedup and the scoring pool
+        engine's shared constant/sympy/value dedup and the scoring fan-out
         so the result table has the same shape as the other strategies.
         No ε-parent gate, matching the reference."""
         fi = clean_raws + parked + cat_raws
         frontier = admit(list(fi))
         accumulated: list[Feature] = []
         for d in range(self.tree_depth + 1):
-            results = self._score_layer(frontier, cols, y, fold)
+            results = self._score_layer(frontier, shared)
             for f, score, best_c, ll, vhash, const in results:
                 if const:
                     stats["constant"] += 1

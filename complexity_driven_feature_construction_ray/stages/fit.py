@@ -352,7 +352,7 @@ def fit_distributed(
         ]
         if not level_nodes:
             continue
-        from ..functions.expr import CUSTOM_OPS
+        from ..functions.expr import CUSTOM_OPS, registry_snapshot
 
         mergeable = [
             f
@@ -368,16 +368,15 @@ def fit_distributed(
         if mergeable:
             plans = mergeable
             state = dict(fitted)
-            ops_snapshot = dict(CUSTOM_OPS) or None
+            ops_snapshot = registry_snapshot()
 
             def part_batch(
                 batch: pa.Table, _plans=plans, _state=state, _needed=needed, _ops=ops_snapshot
             ) -> pa.Table:
-                from ..functions.expr import CUSTOM_OPS as _REG
+                from ..functions.expr import install_registry
                 from .token_stats import numpy_base_columns
 
-                if _ops:
-                    _REG.update(_ops)  # per-process registry (worker side)
+                install_registry(_ops)  # per-process registry (worker side)
                 cols = numpy_base_columns(batch, _needed)
                 cache: dict = {}
                 parts = {f.name: _partial_for(f, cols, _state, cache) for f in _plans}

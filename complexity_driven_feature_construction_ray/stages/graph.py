@@ -125,7 +125,9 @@ def connected_components(
     PER SUPERSTEP of fixed overhead that dwarfs a small graph. Above
     the budget (or with `small_edge_budget=0/None`) the probe cost is
     bounded by the budget and the checkpointed superstep path runs —
-    the 100 TB shape where the edge set outgrows every single node."""
+    the 100 TB shape where the edge set outgrows every single node.
+    A caller-given `checkpoint_dir` always takes the checkpointed path,
+    whatever the graph's size."""
     import shutil
     import tempfile
 
@@ -134,7 +136,7 @@ def connected_components(
 
     from .temporal import grouped_map
 
-    if small_edge_budget:
+    if small_edge_budget and checkpoint_dir is None:
         probe = edges.limit(small_edge_budget + 1).to_pandas()
         if len(probe) <= small_edge_budget:
             extra = np.array([], dtype=np.int64)
@@ -306,11 +308,12 @@ def pagerank(
 
     d = float(damping)
 
-    if small_edge_budget:
+    if small_edge_budget and checkpoint_dir is None:
         # size-aware planner, same discipline as connected_components:
         # below the budget the exact numpy power iteration answers
         # driver-side; the checkpointed superstep engine is the path
-        # for edge sets that outgrow one node.
+        # for edge sets that outgrow one node, and for every caller
+        # that asked for checkpoints.
         probe = edges.limit(small_edge_budget + 1).to_pandas()
         if len(probe) <= small_edge_budget:
             out = _pagerank_numpy(

@@ -124,7 +124,7 @@ def resumable_backfill(
     """Backfill `features` over the Parquet `input_files`, resumably.
 
     Files are grouped into `num_shards` shards; each shard streams
-    through token-stats + FeatureBackfill actors and publishes
+    through token-stats + FeatureBackfill tasks and publishes
     atomically with a lineage record. Completed shards (matching input
     + plan fingerprints) are skipped on rerun. `stop_after_shards` is a
     test hook simulating a mid-run kill after N shards.

@@ -147,6 +147,25 @@ def test_sffs_selects_informative_features(ray_session):
         )
 
 
+@pytest.mark.parametrize("speculative", [0, 4])
+def test_sffs_ray_matches_local(ray_session, speculative):
+    """The Ray fan-out and the in-process loop return the identical
+    repair, at plain and at speculative width."""
+    rng = np.random.default_rng(8)
+    n = 400
+    X = rng.normal(size=(n, 5))
+    y = (X[:, 0] + 0.7 * X[:, 1] + 0.5 * X[:, 2] + rng.normal(0, 0.5, n) > 0).astype(np.int8)
+    names = ["a", "b", "c", "n1", "n2"]
+    kw = dict(
+        sensitive=rng.choice(["web", "books"], n), contexts=rng.integers(0, 3, n),
+        protected="web", cv=3, max_iter=10, speculative=speculative,
+    )
+    local = sffs_repair(X, names, y, use_ray=False, **kw)
+    via_ray = sffs_repair(X, names, y, use_ray=True, **kw)
+    assert via_ray == local
+    assert len(local["selected"]) > 1  # floating eliminations had >1 candidate
+
+
 def test_fairness_groups_shape(ray_session, fair_df):
     g = fairness_groups(
         ray.data.from_pandas(fair_df), ctx_cols=["ctx"], sens_col="sens",

@@ -75,3 +75,28 @@ def test_pagerank_small_path_equals_distributed(ray_session):
     assert list(small["id"]) == list(dist["id"])
     assert np.allclose(small["rank"], dist["rank"], atol=1e-12)
     assert abs(small["rank"].sum() - 1.0) < 1e-9
+
+
+def test_checkpoint_dir_takes_checkpointed_path_below_budget(ray_session, tmp_path):
+    """A caller-given checkpoint_dir is honored on a graph far below
+    `small_edge_budget`: the superstep path runs and leaves its
+    checkpoint in that directory, with the same answer."""
+    src, dst = _random_edges(3, 30, 40)
+    edges = pd.DataFrame({"src": src, "dst": dst})
+    cc_dir, pr_dir = tmp_path / "cc", tmp_path / "pr"
+    cc = connected_components(ray.data.from_pandas(edges), checkpoint_dir=str(cc_dir))
+    pr = pagerank(ray.data.from_pandas(edges), n_iter=3, checkpoint_dir=str(pr_dir))
+    cc = cc.to_pandas().sort_values("id").reset_index(drop=True)
+    pr = pr.to_pandas().sort_values("id").reset_index(drop=True)
+    assert any(cc_dir.rglob("*.parquet")) and any(pr_dir.rglob("*.parquet"))
+    small_cc = (
+        connected_components(ray.data.from_pandas(edges))
+        .to_pandas().sort_values("id").reset_index(drop=True)
+    )
+    pd.testing.assert_frame_equal(cc, small_cc)
+    small_pr = (
+        pagerank(ray.data.from_pandas(edges), n_iter=3)
+        .to_pandas().sort_values("id").reset_index(drop=True)
+    )
+    assert list(pr["id"]) == list(small_pr["id"])
+    assert np.allclose(pr["rank"], small_pr["rank"], atol=1e-12)

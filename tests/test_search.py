@@ -11,7 +11,7 @@ from complexity_driven_feature_construction_ray.pipelines import (
     pareto_front,
     stratified_folds,
 )
-from complexity_driven_feature_construction_ray.pipelines.search import Scored
+from complexity_driven_feature_construction_ray.pipelines.search import Broadcast, Scored
 from complexity_driven_feature_construction_ray.sources import token_table_arrow
 from complexity_driven_feature_construction_ray.stages.token_stats import (
     token_stats_arrays,
@@ -100,7 +100,7 @@ class TestSearch:
         cols, y, base = sample(800)
         kw = dict(c_max=2, epsilon=-1e9, lr_max_iter=10)
         drv = ComplexityDrivenSearch(use_ray=False, **kw).run(cols, y, base)
-        rayres = ComplexityDrivenSearch(use_ray=True, scorer_concurrency=3, **kw).run(cols, y, base)
+        rayres = ComplexityDrivenSearch(use_ray=True, **kw).run(cols, y, base)
         assert set(drv.all_scored) == set(rayres.all_scored)
         for k in drv.all_scored:
             assert abs(drv.all_scored[k].score - rayres.all_scored[k].score) < 1e-12
@@ -185,10 +185,12 @@ def test_failing_candidate_is_dropped_not_fatal(ray_session):
         n_tok = raw("n_tok", properties={"min": 1.0, "max": 512.0, "has_zero": False, "distinct": 512})
         bad = custom("boom", n_tok)
         s = ComplexityDrivenSearch(use_ray=False, lr_max_iter=5)
-        res_serial = s._score_layer([n_tok, bad], cols, y, np.zeros(len(y), dtype=np.int64) % 2)
+        ctx = (cols, y, np.zeros(len(y), dtype=np.int64) % 2, s.c_grid, s.lr_max_iter)
+        res_serial = s._score_layer([n_tok, bad], Broadcast(ctx, use_ray=False))
         assert res_serial[1][5] is True or res_serial[1][5] == True  # const flag -> dropped
+        ctx = (cols, y, (np.arange(len(y)) % 2).astype(np.int64), s.c_grid, s.lr_max_iter)
         res_ray = ComplexityDrivenSearch(use_ray=True, lr_max_iter=5, score_batch=1)._score_layer(
-            [n_tok, bad, n_tok], cols, y, (np.arange(len(y)) % 2).astype(np.int64)
+            [n_tok, bad, n_tok], Broadcast(ctx)
         )
         by_name = {r[0].name: r for r in res_ray}
         assert by_name["boom(n_tok)"][5]

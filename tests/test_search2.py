@@ -113,6 +113,26 @@ class TestSideMetrics:
             assert s.side is not None and np.isfinite(s.side["rss"])
             assert 0.0 <= s.side["consistency"] <= 1.0
 
+    def test_ray_matches_local(self, ray_session):
+        from complexity_driven_feature_construction_ray.pipelines.search import (
+            Scored,
+            compute_side_metrics,
+        )
+
+        cols, y, base = _sample(300)
+        res = ComplexityDrivenSearch(
+            c_max=2, epsilon=-1e9, use_ray=False, lr_max_iter=10
+        ).run(cols, y, base)
+        top = sorted(res.all_scored.values(), key=lambda s: -s.score)[:4]
+        assert len(top) > 1  # enough candidates for the Ray fan-out
+
+        def sides(use_ray):
+            fresh = [Scored(s.feature, s.score, s.best_C, s.loglik) for s in top]
+            out = compute_side_metrics(fresh, cols, y, cv=3, max_iter=10, use_ray=use_ray)
+            return [(s.name, s.side) for s in out]
+
+        assert sides(True) == sides(False)
+
 
 class TestCNNInstanceSelection:
     def test_condenses_separable_blobs(self):
@@ -189,6 +209,20 @@ class TestNSGA2:
         # the informative feature carries the best-accuracy solutions
         best = max(front, key=lambda r: r["acc"])
         assert "sig" in best["selected"] and best["acc"] > 0.8
+
+    def test_ray_matches_local(self, ray_session):
+        from complexity_driven_feature_construction_ray.pipelines.fairexp import (
+            nsga2_search,
+        )
+
+        X, names, y, sens, ctx = self._fixture()
+        kw = dict(
+            sensitive=sens, contexts=ctx, protected="g1", cv=3,
+            generations=3, max_iter=10, pop_size=8,
+        )
+        assert nsga2_search(X, names, y, use_ray=True, **kw) == nsga2_search(
+            X, names, y, use_ray=False, **kw
+        )
 
 
 class TestSmote:
