@@ -92,12 +92,18 @@ def _group_lookup(keys: np.ndarray, fit_keys: np.ndarray, fit_vals: np.ndarray) 
 # MDLP (Fayyad & Irani 1993 entropy/MDL discretization) — compact numpy form
 
 
-def _entropy(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts[counts > 0] / n
-    return float(-(p * np.log2(p)).sum())
+def _entropy(counts: np.ndarray) -> np.ndarray:
+    """Shannon entropy (bits) of each row of a (m, k) class-count
+    matrix. Terms add left to right, the order in which numpy sums a
+    vector of fewer than 8 values, so a row's entropy is bit-equal to
+    summing its nonzero terms alone."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = counts / counts.sum(axis=1, keepdims=True)
+        t = np.where(counts > 0, p * np.log2(p), 0.0)
+    h = t[:, 0]
+    for j in range(1, t.shape[1]):
+        h = h + t[:, j]
+    return -h
 
 
 def _mdlp_cuts(x: np.ndarray, y: np.ndarray, max_depth: int = 6) -> list[float]:
@@ -118,18 +124,18 @@ def _mdlp_cuts(x: np.ndarray, y: np.ndarray, max_depth: int = 6) -> list[float]:
         onehot_y = seg_y[:, None] == classes[None, :]
         cum = np.cumsum(onehot_y, axis=0)
         total = cum[-1]
-        best, best_i = None, None
-        for i in change:
-            left, right = cum[i - 1], total - cum[i - 1]
-            e = (i / n) * _entropy(left) + ((n - i) / n) * _entropy(right)
-            if best is None or e < best:
-                best, best_i = e, i
-        ent = _entropy(total)
+        # class-weighted entropy of every boundary at once; argmin keeps
+        # the first of equal minima
+        left = cum[change - 1]
+        e = (change / n) * _entropy(left) + ((n - change) / n) * _entropy(total - left)
+        j = int(np.argmin(e))
+        best, best_i = e[j], int(change[j])
+        left, right = cum[best_i - 1], total - cum[best_i - 1]
+        ent, ent_l, ent_r = _entropy(np.stack([total, left, right]))
         gain = ent - best
         k = (total > 0).sum()
-        left, right = cum[best_i - 1], total - cum[best_i - 1]
         k1, k2 = (left > 0).sum(), (right > 0).sum()
-        delta = np.log2(3.0**k - 2.0) - (k * ent - k1 * _entropy(left) - k2 * _entropy(right))
+        delta = np.log2(3.0**k - 2.0) - (k * ent - k1 * ent_l - k2 * ent_r)
         if gain <= (np.log2(n - 1) + delta) / n:
             return
         cut = (seg_x[best_i - 1] + seg_x[best_i]) / 2.0

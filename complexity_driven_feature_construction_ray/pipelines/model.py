@@ -3,10 +3,29 @@
 The reference scores candidates with sklearn LogisticRegression under a
 C grid and f1-micro (reference ComplexityDrivenFeatureConstruction.py:
 41-52, evaluation/run_evaluation.py:142-243). sklearn is not available
-here, so the model is a small Newton/IRLS implementation — for binary
+here, so the model is a small Newton/IRLS implementation — for
 single-label data f1-micro equals accuracy, which is what `cv_score`
 returns. Folds are deterministic stratified splits (seeded, mirroring
 the reference's fixed seed 42 in EvaluationFramework.py:179).
+
+`cv_score` fits a candidate's whole C grid × fold grid in one batched
+Newton solve (`grid_fit_score`). Each fold is standardized on its own
+train slice; the train slices are stacked and zero-padded to the
+longest (an all-zero row, intercept included, adds nothing to any
+gradient or Hessian); every (C, fold, head) problem steps together
+through one stacked `np.linalg.solve`. A problem freezes after the step
+whose own max|step| < tol, so it follows the same iterates as a
+separate `LogisticRegressionNumpy` fit, and a singular stack falls back
+to a per-problem solve (lstsq where that is singular too), as `fit`
+does. Multiclass labels are one more batch axis of one-vs-rest heads;
+a head whose class is absent from a fold's train slice is never fitted
+and never predicts. One batch costs a few dozen numpy calls per Newton
+step however many problems it holds, where one fit per problem cost as
+many per problem — at the search's sample sizes the per-call overhead
+was the whole cost. Rounding differs from separate fits in the last
+bits only, so it decides nothing except exact ties: two OvR heads that
+are equal in exact arithmetic (equal class counts on a feature that
+cannot tell the classes apart) may be ordered differently.
 """
 
 from __future__ import annotations
@@ -14,6 +33,18 @@ from __future__ import annotations
 import numpy as np
 
 C_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
+
+
+def _newton_step(H: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Solve H @ step = g for one (p, p) system or a stack of them. A
+    singular stack falls back to one solve per system, and a singular
+    system to least squares."""
+    try:
+        return np.linalg.solve(H, g[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if H.ndim == 2:
+            return np.linalg.lstsq(H, g, rcond=None)[0]
+        return np.stack([_newton_step(h, v) for h, v in zip(H, g)])
 
 
 class LogisticRegressionNumpy:
@@ -38,10 +69,7 @@ class LogisticRegressionNumpy:
             g = Xb.T @ (mu - y) + lam * np.r_[w[:-1], 0.0]
             s = np.maximum(mu * (1 - mu), 1e-9)
             H = (Xb * s[:, None]).T @ Xb + reg
-            try:
-                step = np.linalg.solve(H, g)
-            except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(H, g, rcond=None)[0]
+            step = _newton_step(H, g)
             w -= step
             if np.max(np.abs(step)) < self.tol:
                 break
@@ -79,46 +107,89 @@ def _standardize(train: np.ndarray, test: np.ndarray):
     return (train - mu) / sd, (test - mu) / sd
 
 
-class LogisticRegressionOvR:
-    """Multiclass logistic regression by one-vs-rest binary heads — the
-    engine's stand-in for sklearn's multiclass LogisticRegression (the
-    reference scores any label arity via sklearn; f1-micro equals
-    accuracy for single-label multiclass, which cv_score returns)."""
+def _padded(blocks: list[np.ndarray]) -> np.ndarray:
+    """Stack (n_i, p) blocks into (F, max n_i, p + 1) designs with an
+    intercept column. Rows past a block's end are all zero."""
+    out = np.zeros((len(blocks), max(len(b) for b in blocks), blocks[0].shape[1] + 1))
+    for i, b in enumerate(blocks):
+        out[i, : len(b), :-1] = b
+        out[i, : len(b), -1] = 1.0
+    return out
 
-    def __init__(self, C: float = 1.0, max_iter: int = 25):
-        self.C = C
-        self.max_iter = max_iter
-        self.classes_: np.ndarray | None = None
-        self.heads_: list[LogisticRegressionNumpy] = []
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "LogisticRegressionOvR":
-        self.classes_ = np.unique(y)
-        self.heads_ = [
-            LogisticRegressionNumpy(C=self.C, max_iter=self.max_iter).fit(
-                X, (y == cls).astype(np.int8)
-            )
-            for cls in self.classes_
-        ]
-        return self
+def _fit_batch(X, Y, live, c_grid, max_iter: int, tol: float = 1e-6) -> np.ndarray:
+    """Newton-fit every (C, slice, head) L2 logistic problem at once.
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """(n, k) class probabilities: OvR head scores normalized to 1."""
-        raw = np.column_stack([h.predict_proba(X) for h in self.heads_])
-        return raw / np.maximum(raw.sum(axis=1, keepdims=True), 1e-12)
+    X is (F, n, p + 1) padded designs, Y (F, H, n) 0/1 targets and
+    live (F, H) the heads to fit. Returns the (len(c_grid), F, H, p + 1)
+    coefficients; a head that is not live stays at zero."""
+    F, n, p1 = X.shape
+    lam = (1.0 / np.asarray(c_grid, dtype=np.float64))[:, None, None, None]
+    free = np.ones(p1)
+    free[-1] = 0.0  # don't regularize the intercept
+    W = np.zeros((len(c_grid), F, Y.shape[1], p1))
+    live = np.broadcast_to(live, W.shape[:3]).copy()
+    # z and the gradient are the matrix-vector products `fit` makes, one
+    # per problem; the Hessian sums s * x x' over rows in one product
+    X1 = X[:, None]
+    XT = X1.swapaxes(-1, -2)
+    XX = (X[:, :, :, None] * X[:, :, None, :]).reshape(F, 1, n, p1 * p1)
+    reg = lam[..., None] * np.diag(free)
+    for _ in range(max_iter):
+        if not live.any():
+            break
+        mu = 1.0 / (1.0 + np.exp(-np.clip((X1 @ W[..., None])[..., 0], -35, 35)))
+        g = (XT @ (mu - Y)[..., None])[..., 0] + lam * W * free
+        s = np.maximum(mu * (1 - mu), 1e-9)
+        H = (s[..., None, :] @ XX).reshape(*W.shape, p1) + reg
+        step = _newton_step(H[live], g[live])
+        W[live] -= step
+        live[live] = ~(np.abs(step).max(axis=1) < tol)
+    return W
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
 
-    def log_likelihood(self, X: np.ndarray, y: np.ndarray) -> float:
-        p = self.predict_proba(X)
-        k = len(self.classes_)
-        col = np.clip(np.searchsorted(self.classes_, y), 0, k - 1)
-        # a test label absent from the training fold (singleton class in
-        # CV) has no head: floor its probability instead of silently
-        # reading a neighboring class's column
-        seen = self.classes_[col] == y
-        pt = np.where(seen, p[np.arange(len(y)), col], 1e-12)
-        return float(np.sum(np.log(np.clip(pt, 1e-12, 1.0))))
+def grid_fit_score(slices, c_grid=C_GRID, max_iter: int = 25):
+    """Fit and score every (C, slice) problem in one batched Newton
+    solve. `slices` is a list of standardized (X_train, y_train, X_test,
+    y_test); binary labels fit one head on y itself, more than two
+    labels fit one-vs-rest heads.
+
+    Returns (acc, ll_rows): acc[c, f] is slice f's test accuracy at
+    c_grid[c] and ll_rows[c, f, :len(y_test)] its per-row test
+    log-likelihoods."""
+    classes = np.unique(np.concatenate([np.r_[s[1], s[3]] for s in slices]))
+    multiclass = len(classes) > 2
+    Xtr = _padded([s[0] for s in slices])
+    Xte = _padded([s[2] for s in slices])
+    F, n, m = len(slices), Xtr.shape[1], Xte.shape[1]
+    n_test = np.array([len(s[3]) for s in slices])
+    Y = np.zeros((F, len(classes) if multiclass else 1, n))
+    yte = np.zeros((F, m), dtype=classes.dtype)
+    for i, (_, ytr, _, yt) in enumerate(slices):
+        Y[i, :, : len(ytr)] = (ytr[None, :] == classes[:, None]) if multiclass else ytr
+        yte[i, : len(yt)] = yt
+    # a head whose class is absent from the train slice is never fitted
+    live = Y.any(axis=2) if multiclass else np.ones((F, 1), dtype=bool)
+    W = _fit_batch(Xtr, Y, live, c_grid, max_iter)
+    z = (Xte[:, None] @ W[..., None])[..., 0]
+    P = 1.0 / (1.0 + np.exp(-np.clip(z, -35, 35)))
+    if multiclass:
+        # OvR head scores normalized to 1 over the fitted heads
+        raw = np.where(live[:, :, None], P, 0.0)
+        q = raw / np.maximum(raw.sum(axis=2, keepdims=True), 1e-12)
+        pred = classes[np.argmax(np.where(live[:, :, None], q, -1.0), axis=2)]
+        col = np.clip(np.searchsorted(classes, yte), 0, len(classes) - 1)
+        pt = np.take_along_axis(q, col[None, :, None, :], axis=2)[:, :, 0]
+        # a test label with no head (its class is absent from the train
+        # slice) gets the floor probability
+        pt = np.where(np.take_along_axis(live, col, axis=1), pt, 1e-12)
+        ll_rows = np.log(np.clip(pt, 1e-12, 1.0))
+    else:
+        p = np.clip(P[:, :, 0], 1e-12, 1 - 1e-12)
+        pred = (P[:, :, 0] >= 0.5).astype(np.int8)
+        ll_rows = yte * np.log(p) + (1 - yte) * np.log(1 - p)
+    acc = ((pred == yte) & (np.arange(m) < n_test[:, None])).sum(axis=2) / n_test
+    return acc, ll_rows
 
 
 def cv_score(
@@ -132,32 +203,29 @@ def cv_score(
     binary or multiclass — multiclass runs one-vs-rest heads).
 
     Returns (best mean test accuracy over the grid, best C, mean test
-    log-likelihood at the best C). Non-finite feature values are
-    sanitized to 0 for the linear model (the reference's constant/NaN
-    kill happens before scoring; this is the belt-and-braces guard).
+    log-likelihood at the best C). The first C of the grid with the best
+    mean wins ties. Non-finite feature values are sanitized to 0 for the
+    linear model (the reference's constant/NaN kill happens before
+    scoring; this is the belt-and-braces guard). A fold whose train
+    slice holds one label is skipped.
     """
     X = np.nan_to_num(np.asarray(X, dtype=np.float64), nan=0.0, posinf=0.0, neginf=0.0)
     if X.ndim == 1:
         X = X[:, None]
-    multiclass = len(np.unique(y)) > 2
-    k = int(fold.max()) + 1
-    best = (-1.0, 1.0, -np.inf)
-    for C in c_grid:
-        accs, lls = [], []
-        for f in range(k):
-            tr, te = fold != f, fold == f
-            if y[tr].min() == y[tr].max():
-                continue  # degenerate fold
-            Xtr, Xte = _standardize(X[tr], X[te])
-            cls = LogisticRegressionOvR if multiclass else LogisticRegressionNumpy
-            m = cls(C=C, max_iter=max_iter).fit(Xtr, y[tr])
-            accs.append(float((m.predict(Xte) == y[te]).mean()))
-            lls.append(m.log_likelihood(Xte, y[te]))
-        if accs:
-            mean_acc = float(np.mean(accs))
-            if mean_acc > best[0]:
-                best = (mean_acc, C, float(np.mean(lls)))
-    return best
+    slices = []
+    for f in range(int(fold.max()) + 1):
+        tr, te = fold != f, fold == f
+        if y[tr].min() == y[tr].max():
+            continue  # degenerate fold
+        Xtr, Xte = _standardize(X[tr], X[te])
+        slices.append((Xtr, y[tr], Xte, y[te]))
+    if not slices:
+        return (-1.0, 1.0, -np.inf)
+    acc, ll_rows = grid_fit_score(slices, c_grid, max_iter)
+    means = [float(np.mean(a)) for a in acc]
+    c = int(np.argmax(means))
+    ll = np.mean([np.sum(ll_rows[c, f, : len(s[3])]) for f, s in enumerate(slices)])
+    return (means[c], c_grid[c], float(ll))
 
 
 def cnn_instance_selection(

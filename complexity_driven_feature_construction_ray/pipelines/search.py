@@ -251,43 +251,42 @@ def _nested_cv_one(feat: Feature, cols, y, fold, c_grid, max_iter) -> tuple[floa
     nested_cv_scikit.py:run_nested_cross_validation, ~64-107): for each
     outer test fold, the inner folds rotate as validation to pick C by
     mean accuracy; the model (feature fit + LR) then refits on all
-    non-test rows and scores the held-out test fold. Returns
-    (mean, std) of the per-test-fold scores."""
-    from .model import LogisticRegressionNumpy, _standardize
+    non-test rows and scores the held-out test fold. The inner
+    (C × validation fold) grids of every test fold are fitted in one
+    batched solve (`grid_fit_score`). Returns (mean, std) of the
+    per-test-fold scores."""
+    from .model import LogisticRegressionNumpy, _standardize, grid_fit_score
 
-    k = int(fold.max()) + 1
-    outer_scores = []
-    for t in range(k):
-        # inner grid search: every non-test fold serves as validation once
-        per_c = {C: [] for C in c_grid}
-        for v in range(k):
-            if v == t:
-                continue
-            tr = (fold != t) & (fold != v)
-            te = fold == v
-            if y[tr].min() == y[tr].max():
-                continue
-            fitted = fit_on_arrays([feat], {c: a[tr] for c, a in cols.items()}, y=y[tr])
-            x_tr = evaluate(feat, {c: a[tr] for c, a in cols.items()}, fitted)
-            x_te = evaluate(feat, {c: a[te] for c, a in cols.items()}, fitted)
-            Xtr, Xte = _standardize(
-                np.nan_to_num(x_tr[:, None], nan=0.0, posinf=0.0, neginf=0.0),
-                np.nan_to_num(x_te[:, None], nan=0.0, posinf=0.0, neginf=0.0),
-            )
-            for C in c_grid:
-                m = LogisticRegressionNumpy(C=C, max_iter=max_iter).fit(Xtr, y[tr])
-                per_c[C].append(float((m.predict(Xte) == y[te]).mean()))
-        best_C = max(c_grid, key=lambda C: np.mean(per_c[C]) if per_c[C] else -1.0)
-        # refit feature + model on everything outside the test fold
-        tr, te = fold != t, fold == t
+    def fit_slice(tr, te):
         fitted = fit_on_arrays([feat], {c: a[tr] for c, a in cols.items()}, y=y[tr])
         x_tr = evaluate(feat, {c: a[tr] for c, a in cols.items()}, fitted)
         x_te = evaluate(feat, {c: a[te] for c, a in cols.items()}, fitted)
-        Xtr, Xte = _standardize(
+        return _standardize(
             np.nan_to_num(x_tr[:, None], nan=0.0, posinf=0.0, neginf=0.0),
             np.nan_to_num(x_te[:, None], nan=0.0, posinf=0.0, neginf=0.0),
         )
-        m = LogisticRegressionNumpy(C=best_C, max_iter=max_iter).fit(Xtr, y[tr])
+
+    k = int(fold.max()) + 1
+    # inner grid search: every non-test fold serves as validation once
+    slices, owner = [], []
+    for t in range(k):
+        for v in range(k):
+            tr = (fold != t) & (fold != v)
+            if v == t or y[tr].min() == y[tr].max():
+                continue
+            Xtr, Xte = fit_slice(tr, fold == v)
+            slices.append((Xtr, y[tr], Xte, y[fold == v]))
+            owner.append(t)
+    acc = grid_fit_score(slices, c_grid, max_iter)[0] if slices else np.empty((len(c_grid), 0))
+    owner = np.asarray(owner)
+    outer_scores = []
+    for t in range(k):
+        per_c = acc[:, owner == t]
+        best = max(range(len(c_grid)), key=lambda c: np.mean(per_c[c]) if per_c.shape[1] else -1.0)
+        # refit feature + model on everything outside the test fold
+        tr, te = fold != t, fold == t
+        Xtr, Xte = fit_slice(tr, te)
+        m = LogisticRegressionNumpy(C=c_grid[best], max_iter=max_iter).fit(Xtr, y[tr])
         outer_scores.append(float((m.predict(Xte) == y[te]).mean()))
     return float(np.mean(outer_scores)), float(np.std(outer_scores))
 

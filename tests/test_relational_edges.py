@@ -1,0 +1,89 @@
+"""Degenerate inputs the fused relational plans must answer like their
+DuckDB twins: a hash bucket holding no in-market order header
+(q_market_share) and a brand whose every customer total is negative
+(q_brand_customer_dependency)."""
+
+import os
+import sys
+
+import duckdb
+import pyarrow as pa
+import pyarrow.parquet as pq
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools"))
+
+from check_empty import SCHEMA_SRC as SRC  # noqa: E402
+from check_oracle import to_pandas, value_hash  # noqa: E402
+
+from complexity_driven_feature_construction_ray.pipelines.relational import (  # noqa: E402
+    Q_BRAND_CUSTOMER_DEPENDENCY_SQL,
+    Q_MARKET_SHARE_SQL,
+    q_brand_customer_dependency,
+    q_market_share,
+)
+
+TABLES = ("region", "nation", "customer", "supplier", "part", "orders", "lineitem")
+
+
+def _fixture(dst, edit):
+    """Copy the degenerate gate's source tables to `dst`; `edit(name,
+    df)` may rewrite a table's pandas frame before it is written back
+    with its schema."""
+    for t in TABLES:
+        tab = pq.read_table(f"{SRC}/{t}.parquet")
+        df = edit(t, tab.to_pandas())
+        if df is not None:
+            tab = pa.Table.from_pandas(df, schema=tab.schema, preserve_index=False)
+        pq.write_table(tab, f"{dst}/{t}.parquet")
+    return str(dst)
+
+
+def _twin(sf_dir, sql):
+    con = duckdb.connect()
+    for t in TABLES:
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')")
+    return con.execute(sql).fetchdf()
+
+
+def _assert_matches_twin(got, exp):
+    got = to_pandas(got)
+    assert len(got) == len(exp) > 0
+    assert sorted(got.columns) == sorted(exp.columns)
+    assert value_hash(got) == value_hash(exp)
+
+
+def test_market_share_bucket_without_in_market_header(ray_session, tmp_path):
+    # one customer's orders are the whole ASIA market, so most hash
+    # buckets hold line cells but no in-market order header
+    first = pq.read_table(f"{SRC}/orders.parquet").to_pandas()["o_custkey"].iloc[0]
+
+    def edit(t, df):
+        if t == "customer":
+            df["c_nationkey"] = (df["c_custkey"] == first).map({True: 2, False: 0})
+            return df
+        return None
+
+    sf = _fixture(tmp_path, edit)
+    _assert_matches_twin(q_market_share(sf), _twin(sf, Q_MARKET_SHARE_SQL))
+
+
+def test_brand_dependency_with_zero_and_negative_revenue(ray_session, tmp_path):
+    part = pq.read_table(f"{SRC}/part.parquet").to_pandas()
+    brand = sorted(part["p_brand"].unique())[0]
+    neg = set(part.loc[part["p_brand"] == brand, "p_partkey"])
+
+    def edit(t, df):
+        if t == "lineitem":
+            # every line of one brand is a credit (discount > 100%), so
+            # each of its customer totals is negative; the first line of
+            # any other brand is free (100% discount)
+            df.loc[df["l_partkey"].isin(neg), "l_discount"] = 1.5
+            free = (~df["l_partkey"].isin(neg)).idxmax()
+            df.loc[free, "l_discount"] = 1.0
+            return df
+        return None
+
+    sf = _fixture(tmp_path, edit)
+    exp = _twin(sf, Q_BRAND_CUSTOMER_DEPENDENCY_SQL)
+    assert int(exp.loc[exp["brand"] == brand, "top_customer_units"].iloc[0]) < 0
+    _assert_matches_twin(q_brand_customer_dependency(sf), exp)
