@@ -22,6 +22,7 @@ Property propagation mirrors the analytic derive_properties rules
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -132,8 +133,9 @@ class Feature:
 
     # -- identity / naming ---------------------------------------------------
 
-    @property
+    @functools.cached_property
     def name(self) -> str:
+        # computed once per node: the tree is immutable
         return _name(self)
 
     @property

@@ -355,15 +355,25 @@ def _eval_inner(f: Feature, cols: Cols, fitted: Fitted, cache: dict) -> np.ndarr
 
 
 def fit_on_arrays(
-    features: list[Feature], cols: Cols, y: np.ndarray | None = None, fitted: Fitted | None = None
+    features: list[Feature],
+    cols: Cols,
+    y: np.ndarray | None = None,
+    fitted: Fitted | None = None,
+    cache: dict | None = None,
 ) -> Fitted:
     """Fit every stateful node of the given trees on in-memory train columns.
 
     Train-fold-only semantics: pass the TRAIN slice of the columns; apply
     the returned state to any fold via `evaluate`.
+
+    A given `fitted` is the shared state to fit into: nodes already in it
+    are kept, new ones are added to it in place, and it is returned. A
+    given `cache` holds node outputs over these same `cols` (as
+    `evaluate` fills it) and is shared the same way, so a later call
+    reuses the parent outputs an earlier one computed.
     """
-    fitted = dict(fitted or {})
-    cache: dict = {}
+    fitted = {} if fitted is None else fitted
+    cache = {} if cache is None else cache
     for root in features:
         for f in root.walk():
             if f.name in fitted:

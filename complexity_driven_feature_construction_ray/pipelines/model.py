@@ -26,6 +26,18 @@ was the whole cost. Rounding differs from separate fits in the last
 bits only, so it decides nothing except exact ties: two OvR heads that
 are equal in exact arithmetic (equal class counts on a feature that
 cannot tell the classes apart) may be ordered differently.
+
+The search goes one step further (`cv_grid_scores`): the `cv_slices` of
+all the candidates of one scoring task, over the same fold split, go
+into one solve (candidates × C × folds × heads), and each candidate
+takes its own argmax and log-likelihood from its own slices. Every
+candidate's slices have the same row counts, so the padding, and with
+it each problem's arithmetic, is the same as in a solve of its own.
+The batch is one task's candidates, not a whole layer: the stacked
+designs grow with the batch, and a layer-wide solve costs driver
+memory that the smaller batches do not. A search that runs in-process
+(`use_ray=False`, or a one-CPU cluster, see `search.Broadcast`) solves
+the same batches, one after another.
 """
 
 from __future__ import annotations
@@ -192,6 +204,48 @@ def grid_fit_score(slices, c_grid=C_GRID, max_iter: int = 25):
     return acc, ll_rows
 
 
+def cv_slices(X: np.ndarray, y: np.ndarray, fold: np.ndarray) -> list[tuple]:
+    """One candidate's standardized (X_train, y_train, X_test, y_test)
+    per fold, for `cv_grid_scores`. Non-finite feature values are
+    sanitized to 0 for the linear model (the reference's constant/NaN
+    kill happens before scoring; this is the belt-and-braces guard). A
+    fold whose train slice holds one label is skipped."""
+    X = np.nan_to_num(np.asarray(X, dtype=np.float64), nan=0.0, posinf=0.0, neginf=0.0)
+    if X.ndim == 1:
+        X = X[:, None]
+    slices = []
+    for f in range(int(fold.max()) + 1):
+        tr, te = fold != f, fold == f
+        if y[tr].min() == y[tr].max():
+            continue  # degenerate fold
+        Xtr, Xte = _standardize(X[tr], X[te])
+        slices.append((Xtr, y[tr], Xte, y[te]))
+    return slices
+
+
+def cv_grid_scores(
+    slice_sets: list[list[tuple]], c_grid=C_GRID, max_iter: int = 25
+) -> list[tuple[float, float, float]]:
+    """`cv_score` for several candidates at once: every candidate's
+    `cv_slices` over the same fold split go into one `grid_fit_score`
+    solve, and each candidate then takes its own grid argmax and
+    log-likelihood from its own slices."""
+    flat = [s for slices in slice_sets for s in slices]
+    if flat:
+        acc, ll_rows = grid_fit_score(flat, c_grid, max_iter)
+    out, at = [], 0
+    for slices in slice_sets:
+        if not slices:
+            out.append((-1.0, 1.0, -np.inf))
+            continue
+        means = [float(np.mean(a)) for a in acc[:, at : at + len(slices)]]
+        c = int(np.argmax(means))
+        ll = np.mean([np.sum(ll_rows[c, at + f, : len(s[3])]) for f, s in enumerate(slices)])
+        out.append((means[c], c_grid[c], float(ll)))
+        at += len(slices)
+    return out
+
+
 def cv_score(
     X: np.ndarray,
     y: np.ndarray,
@@ -204,28 +258,10 @@ def cv_score(
 
     Returns (best mean test accuracy over the grid, best C, mean test
     log-likelihood at the best C). The first C of the grid with the best
-    mean wins ties. Non-finite feature values are sanitized to 0 for the
-    linear model (the reference's constant/NaN kill happens before
-    scoring; this is the belt-and-braces guard). A fold whose train
-    slice holds one label is skipped.
+    mean wins ties. Folds as in `cv_slices`; with no usable fold the
+    score is (-1.0, 1.0, -inf).
     """
-    X = np.nan_to_num(np.asarray(X, dtype=np.float64), nan=0.0, posinf=0.0, neginf=0.0)
-    if X.ndim == 1:
-        X = X[:, None]
-    slices = []
-    for f in range(int(fold.max()) + 1):
-        tr, te = fold != f, fold == f
-        if y[tr].min() == y[tr].max():
-            continue  # degenerate fold
-        Xtr, Xte = _standardize(X[tr], X[te])
-        slices.append((Xtr, y[tr], Xte, y[te]))
-    if not slices:
-        return (-1.0, 1.0, -np.inf)
-    acc, ll_rows = grid_fit_score(slices, c_grid, max_iter)
-    means = [float(np.mean(a)) for a in acc]
-    c = int(np.argmax(means))
-    ll = np.mean([np.sum(ll_rows[c, f, : len(s[3])]) for f, s in enumerate(slices)])
-    return (means[c], c_grid[c], float(ll))
+    return cv_grid_scores([cv_slices(X, y, fold)], c_grid, max_iter)[0]
 
 
 def cnn_instance_selection(

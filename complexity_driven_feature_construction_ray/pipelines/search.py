@@ -13,7 +13,17 @@ budget (reference feature_selection/ComplexityDrivenFeatureConstruction.py:
   process (replacing the reference's fork-globals mp.Pool,
   run_evaluation.py:433-452 / my_globale_module.py:1-18). Tasks, not a
   dedicated actor pool: actor startup costs more than the scoring
-  (stages/backfill.py has the measured gap)
+  (stages/backfill.py has the measured gap). On a one-CPU cluster no
+  task could run beside another, so `Broadcast` scores in-process
+- scoring is incremental (`ScoringContext`): each process memoizes
+  every node's per-fold fitted state and train/test outputs by name,
+  so a child fits and evaluates only its top node on its parents'
+  outputs, as the reference builds children from parent fold caches
+  (run_evaluation.py:278-285). The memo keeps the raws and survivors
+  (the possible parents) and drops the rest at each new layer
+- one task scores `score_batch` candidates, and fits all of their
+  C × fold (× one-vs-rest head) problems in one batched Newton solve
+  (`model.cv_grid_scores`)
 
 Evaluation semantics per candidate mirror run_evaluation.py:247-398:
 per-fold fit of stateful nodes on the train slice only, transform of
@@ -21,7 +31,8 @@ the test slice, grid-searched CV accuracy; constant-feature kill
 (:287-290); exact value-dedup via a content hash of the per-fold
 outputs (:292-298); the ε-pruning gate keeps a candidate iff its score
 improves on the best parent by more than epsilon, with raw and one-hot
-features always passing (:370-371).
+features always passing (:370-371). A candidate whose kernel or CV step
+raises is dropped alone (:401-414).
 """
 
 from __future__ import annotations
@@ -48,7 +59,7 @@ from ..functions.expr import (
 )
 from ..functions.kernels import evaluate, fit_on_arrays
 from ..functions.sympy_rules import canonical_key, canonical_sympy, is_constant_expr
-from .model import C_GRID, cv_score, stratified_folds
+from .model import C_GRID, cv_grid_scores, cv_slices, stratified_folds
 
 DEFAULT_GBT_AGGS = ("max", "min", "mean", "std")  # reference feature_space/division.py:41-56
 
@@ -78,6 +89,9 @@ EXPLOREKIT_OPS = dict(
 # MinMaxScaling; nansum/nanprod; divide/subtract; GroupByThen
 # {max,min,mean,std} — the same families as the ExploreKit space.
 TREE_OPS = dict(EXPLOREKIT_OPS)
+
+# candidates per scoring task, and per batched CV solve
+SCORE_BATCH = 4
 
 
 @dataclass
@@ -110,103 +124,193 @@ class SearchResult:
         return [s.feature for layer in self.survivors.values() for s in layer]
 
 
-def _eval_candidate(feat: Feature, cols, y, fold, c_grid, max_iter=25):
-    """Per-fold fit/transform + grid CV; returns (score, C, loglik, vhash, const)."""
-    k = int(fold.max()) + 1
-    col_out = np.empty(len(y), dtype=np.float64)
-    hasher = hashlib.blake2b(digest_size=16)
-    for f in range(k):
-        tr = fold != f
-        cols_tr = {c: v[tr] for c, v in cols.items()}
-        fitted = fit_on_arrays([feat], cols_tr, y=y[tr])
-        te = ~tr
-        cols_te = {c: v[te] for c, v in cols.items()}
-        out_te = evaluate(feat, cols_te, fitted)
-        col_out[te] = out_te
-        hasher.update(np.round(np.nan_to_num(out_te, nan=-1e18), 10).tobytes())
-    finite = col_out[np.isfinite(col_out)]
-    if len(finite) == 0 or (len(finite) and finite.min() == finite.max()):
-        return (0.0, 1.0, -np.inf, hasher.hexdigest(), True)
-    score, best_c, ll = cv_score(col_out, y, fold, c_grid, max_iter)
-    return (score, best_c, ll, hasher.hexdigest(), False)
+class ScoringContext:
+    """What every candidate of one search, or of one rescore split, is
+    scored against: the sample columns, the labels, one fold split, the
+    C grid and the Newton budget; and the per-fold memo.
+
+    The memo holds, for each fold, every node's fitted state and its
+    train and test outputs, keyed by node name. A candidate fits and
+    evaluates only its top node, on its parents' memoized outputs; a node
+    missing from the memo (a parent this process has not met yet) is
+    computed through the same path and memoized. The outputs are the ones
+    a per-fold refit of the whole tree computes, so scores do not change.
+    The memo is built lazily in the process that scores and is never
+    pickled with the context; `retain` keeps it to the possible parents.
+    """
+
+    def __init__(self, cols, y, fold, c_grid, max_iter: int):
+        self.cols, self.y, self.fold = cols, y, fold
+        self.c_grid, self.max_iter = c_grid, max_iter
+        self._folds: list[tuple] | None = None
+        self._layer = None
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_folds": None, "_layer": None}
+
+    def _memo(self) -> list[tuple]:
+        """Per fold: (train cols, test cols, train labels, test mask,
+        fitted state, train outputs, test outputs)."""
+        if self._folds is None:
+            self._folds = []
+            for f in range(int(self.fold.max()) + 1):
+                tr = self.fold != f
+                self._folds.append((
+                    {c: v[tr] for c, v in self.cols.items()},
+                    {c: v[~tr] for c, v in self.cols.items()},
+                    self.y[tr], ~tr, {}, {}, {},
+                ))
+        return self._folds
+
+    def retain(self, keep) -> None:
+        """`keep` is (layer, names) or None. The first call of a new
+        layer drops every memo entry whose name is not in `names`: the
+        raws and survivors, the only possible parents of the layer's
+        candidates."""
+        if keep is None or keep[0] == self._layer:
+            return
+        layer, names = keep
+        for *_, state, train, test in self._folds or ():
+            for memo in (state, train, test):
+                for name in [n for n in memo if n not in names]:
+                    del memo[name]
+        self._layer = layer
+
+    def column(self, feat: Feature) -> tuple[np.ndarray, str]:
+        """The feature's out-of-fold column (each fold's test rows from a
+        fit on its train rows) and a content hash of its per-fold
+        outputs."""
+        col = np.empty(len(self.y), dtype=np.float64)
+        hasher = hashlib.blake2b(digest_size=16)
+        for cols_tr, cols_te, y_tr, te, state, train, test in self._memo():
+            fit_on_arrays([feat], cols_tr, y=y_tr, fitted=state, cache=train)
+            out = evaluate(feat, cols_te, state, test)
+            col[te] = out
+            hasher.update(np.round(np.nan_to_num(out, nan=-1e18), 10).tobytes())
+        return col, hasher.hexdigest()
+
+    def score(self, feats: list[Feature]) -> list[tuple]:
+        """(score, best_C, loglik, vhash, const) per feature. The
+        non-constant features are fitted in one batched solve
+        (`cv_grid_scores`). A feature whose kernel or CV step raises is
+        dropped alone (reference run_evaluation.py:401-414
+        evaluate_catch): it is marked constant so the driver discards
+        it."""
+        out: list = [None] * len(feats)
+        pending = []
+        for i, f in enumerate(feats):
+            try:
+                col, vhash = self.column(f)
+                finite = col[np.isfinite(col)]
+                if len(finite) == 0 or finite.min() == finite.max():
+                    out[i] = (0.0, 1.0, -np.inf, vhash, True)
+                else:
+                    pending.append((i, vhash, cv_slices(col, self.y, self.fold)))
+            except Exception:
+                out[i] = _dropped(f)
+        for (i, vhash, _), r in zip(pending, self._solve([p[2] for p in pending])):
+            out[i] = _dropped(feats[i]) if r is None else (*r, vhash, False)
+        return out
+
+    def _solve(self, slice_sets: list) -> list:
+        """`cv_grid_scores` of every set; None for a set whose solve
+        raises. When the joint solve raises, each set is solved alone."""
+        try:
+            return cv_grid_scores(slice_sets, self.c_grid, self.max_iter)
+        except Exception:
+            if len(slice_sets) <= 1:
+                return [None] * len(slice_sets)
+            return [r for s in slice_sets for r in self._solve([s])]
 
 
-_WORKER_CTX: dict = {}  # per-worker-process cache of broadcast contexts
+def _dropped(feat: Feature) -> tuple:
+    return (0.0, 1.0, -np.inf, f"error:{feat.name}", True)
+
+
+def _chunks(items: list, n: int) -> list[list]:
+    return [items[i : i + n] for i in range(0, len(items), n)]
+
+
+_WORKER_CTX: dict = {}  # this worker process's broadcast context, by ref
 
 
 def _resolve_ctx(wrapped_ref):
     """Resolve a broadcast context through the per-worker-process cache:
     ONE deserialization per worker, however many tasks land on it.
     `wrapped_ref` is a 1-tuple so Ray does not auto-resolve the ObjectRef
-    before the task body runs."""
+    before the task body runs. The cache keeps the latest context only:
+    an earlier one, and the scoring memo it carries, is dead weight once
+    its call has returned (two calls interleaving on one worker stay
+    correct, and only deserialize and memoize again)."""
     import ray
 
     (ref,) = wrapped_ref
     key = ref.hex()
     ctx = _WORKER_CTX.get(key)
     if ctx is None:
-        if len(_WORKER_CTX) > 4:  # contexts of prior runs are dead weight
-            _WORKER_CTX.clear()
+        _WORKER_CTX.clear()
         ctx = _WORKER_CTX[key] = pickle.loads(ray.get(ref))
     return ctx
 
 
-def _map_batch(fn, wrapped_ref, registry, items):
+def _map_item(fn, wrapped_ref, registry, item):
     install_registry(registry)
-    ctx = _resolve_ctx(wrapped_ref)
-    return [fn(ctx, item) for item in items]
+    return fn(_resolve_ctx(wrapped_ref), item)
 
 
 @functools.cache
-def _map_batch_task():
+def _map_task():
     import ray
 
-    return ray.remote(num_cpus=1)(_map_batch)
+    return ray.remote(num_cpus=1)(_map_item)
 
 
 class Broadcast:
     """A context shared by every item of one search, rescore or repair
     call, and the fan-out over it.
 
-    `map(fn, items, batch)` returns `[fn(ctx, item) for item in items]`.
-    With `use_ray`, and more items than fit one batch, it runs as Ray
-    tasks of `batch` items each; the context is `ray.put` once, on the
-    first such map, and later maps reuse it. With fewer items one task
-    would run nothing in parallel, so the map runs in-process. `fn` must
-    be a module-level function: it travels by reference. Each task
+    `map(fn, items)` returns `[fn(ctx, item) for item in items]`. With
+    `use_ray`, more than one item and a cluster of more than one CPU, it
+    runs one Ray task per item; the context is `ray.put` once, on the
+    first such map, and later maps reuse it. Otherwise it runs
+    in-process: one item would run nothing in parallel, and neither
+    would tasks on a one-CPU cluster, which would only add their
+    overhead. The cluster's CPU count is read once per `Broadcast`. `fn`
+    must be a module-level function: it travels by reference. Each task
     installs the driver's op-registry snapshot before it runs."""
 
     def __init__(self, ctx, *, use_ray: bool = True):
         self.ctx = ctx
         self.use_ray = use_ray
         self._ref = None
+        self._cpus = None
 
-    def map(self, fn, items, batch: int = 1) -> list:
+    def _parallel(self) -> bool:
+        import ray
+
+        if self._cpus is None:
+            if not ray.is_initialized():
+                ray.init()
+            self._cpus = ray.cluster_resources().get("CPU", 0)
+        return self._cpus > 1
+
+    def map(self, fn, items) -> list:
         items = list(items)
-        if not self.use_ray or len(items) <= batch:
+        if not self.use_ray or len(items) <= 1 or not self._parallel():
             return [fn(self.ctx, item) for item in items]
         import ray
 
         if self._ref is None:
             self._ref = ray.put(pickle.dumps(self.ctx))
         registry = registry_snapshot()
-        task = _map_batch_task()
-        refs = [
-            task.remote(fn, (self._ref,), registry, items[i : i + batch])
-            for i in range(0, len(items), batch)
-        ]
-        return [r for out in ray.get(refs) for r in out]
+        task = _map_task()
+        return ray.get([task.remote(fn, (self._ref,), registry, item) for item in items])
 
 
-def _score_one(ctx, feat: Feature) -> tuple:
-    cols, y, fold, c_grid, max_iter = ctx
-    try:
-        return _eval_candidate(feat, cols, y, fold, c_grid, max_iter)
-    except Exception:
-        # a failing candidate is dropped, not fatal (reference
-        # run_evaluation.py:401-414 evaluate_catch); marked constant so
-        # the driver discards it
-        return (0.0, 1.0, -np.inf, f"error:{feat.name}", True)
+def _score_chunk(ctx: ScoringContext, item) -> list[tuple]:
+    feats, keep = item
+    ctx.retain(keep)
+    return ctx.score(feats)
 
 
 def multiple_cv_rescore(
@@ -225,25 +329,30 @@ def multiple_cv_rescore(
     multiple-CV stabilization pass (reference evaluation/
     multiple_cv_scikit.py): each candidate scored under `repeats`
     different stratified fold splits; returns name -> (mean, std) of the
-    per-repeat scores. Fan-out is one task per (candidate, repeat) over
-    a broadcast sample."""
+    per-repeat scores. Scoring is the search's: one `ScoringContext`
+    (and so one memo) per repeat's split, one task per (repeat,
+    `SCORE_BATCH` candidates) with one batched solve each. A candidate
+    that fails to score counts 0.0 for that repeat."""
     c_grid = tuple(c_grid or C_GRID)
     y = np.asarray(y).astype(np.int8)
-    folds = [stratified_folds(y, cv, seed + r) for r in range(repeats)]
-    items = [(f, r) for f in features for r in range(repeats)]
-    shared = Broadcast((cols, y, folds, c_grid, max_iter), use_ray=use_ray)
+    splits = tuple(
+        ScoringContext(cols, y, stratified_folds(y, cv, seed + r), c_grid, max_iter)
+        for r in range(repeats)
+    )
+    items = [(r, chunk) for r in range(repeats) for chunk in _chunks(features, SCORE_BATCH)]
+    shared = Broadcast(splits, use_ray=use_ray)
     by_name: dict[str, list[float]] = {}
-    for (f, _r), s in zip(items, shared.map(_repeat_score, items)):
-        by_name.setdefault(f.name, []).append(s)
+    for (_r, chunk), scores in zip(items, shared.map(_repeat_chunk, items)):
+        for f, s in zip(chunk, scores):
+            by_name.setdefault(f.name, []).append(s[0])
     return {
         name: (float(np.mean(v)), float(np.std(v))) for name, v in by_name.items()
     }
 
 
-def _repeat_score(ctx, item) -> float:
-    cols, y, folds, c_grid, max_iter = ctx
-    feat, r = item
-    return _eval_candidate(feat, cols, y, folds[r], c_grid, max_iter)[0]
+def _repeat_chunk(splits, item) -> list[tuple]:
+    r, feats = item
+    return splits[r].score(feats)
 
 
 def _nested_cv_one(feat: Feature, cols, y, fold, c_grid, max_iter) -> tuple[float, float]:
@@ -465,7 +574,7 @@ class ComplexityDrivenSearch:
         max_seconds: float | None = None,
         hard_c_cap: int = 10,
         max_onehot_values: int = 20,
-        score_batch: int = 4,
+        score_batch: int = SCORE_BATCH,
         lr_max_iter: int = 25,
         use_ray: bool = True,
         instance_selection: bool = False,
@@ -508,11 +617,13 @@ class ComplexityDrivenSearch:
 
     # -- scoring -------------------------------------------------------------
 
-    def _score_layer(self, layer: list[Feature], shared: Broadcast) -> list[tuple]:
+    def _score_layer(self, layer: list[Feature], shared: Broadcast, keep=None) -> list[tuple]:
         """(feature, score, best_C, loglik, vhash, const) per candidate,
-        in layer order; tasks of `score_batch` candidates each."""
-        scores = shared.map(_score_one, layer, self.score_batch)
-        return [(f, *r) for f, r in zip(layer, scores)]
+        in layer order; one task and one batched solve per `score_batch`
+        candidates. `keep` is passed to `ScoringContext.retain`."""
+        chunks = _chunks(layer, self.score_batch)
+        scores = shared.map(_score_chunk, [(chunk, keep) for chunk in chunks])
+        return [(f, *r) for f, r in zip(layer, (r for out in scores for r in out))]
 
     @staticmethod
     def _harmonic_stop(champions: dict, survivors: dict, c: int) -> bool:
@@ -630,7 +741,8 @@ class ComplexityDrivenSearch:
         # one broadcast per run, held only here: a retry builds its own,
         # so it can never score against a previous run's sample
         shared = Broadcast(
-            (cols, y, fold, self.c_grid, self.lr_max_iter), use_ray=self.use_ray
+            ScoringContext(cols, y, fold, self.c_grid, self.lr_max_iter),
+            use_ray=self.use_ray,
         )
         if self.strategy == "explorekit":
             self._run_explorekit(
@@ -659,6 +771,7 @@ class ComplexityDrivenSearch:
         self, c_limit, t0, shared, clean_raws, parked, cat_raws,
         admit, survivors, all_scored, scores, seen_values, stats, champions,
     ):
+        raw_names = frozenset(f.name for f in clean_raws + parked + cat_raws)
         for c in range(1, c_limit + 1):
             if self.max_seconds is not None and time.time() - t0 > self.max_seconds:
                 stats["deadline_hit"] = True
@@ -700,7 +813,9 @@ class ComplexityDrivenSearch:
                             )
                         )
 
-            results = self._score_layer(layer, shared)
+            # the memo keeps the raws and survivors: the possible parents
+            keep = (c, raw_names.union(s.name for lv in survivors.values() for s in lv))
+            results = self._score_layer(layer, shared, keep)
             kept: list[Scored] = []
             for f, score, best_c, ll, vhash, const in results:
                 if const:
@@ -787,8 +902,10 @@ class ComplexityDrivenSearch:
         fi = clean_raws + parked + cat_raws
         frontier = admit(list(fi))
         accumulated: list[Feature] = []
+        raw_names = frozenset(f.name for f in fi)
         for d in range(self.tree_depth + 1):
-            results = self._score_layer(frontier, shared)
+            keep = (d, raw_names.union(f.name for f in accumulated))
+            results = self._score_layer(frontier, shared, keep)
             for f, score, best_c, ll, vhash, const in results:
                 if const:
                     stats["constant"] += 1

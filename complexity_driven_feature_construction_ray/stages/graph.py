@@ -127,7 +127,12 @@ def connected_components(
     bounded by the budget and the checkpointed superstep path runs —
     the 100 TB shape where the edge set outgrows every single node.
     A caller-given `checkpoint_dir` always takes the checkpointed path,
-    whatever the graph's size."""
+    whatever the graph's size.
+
+    `max_iter` bounds the checkpointed supersteps only. The driver-side
+    path always runs label propagation to its fixpoint and ignores it,
+    so on a small graph the answer is exact even where the superstep
+    path would stop early."""
     import shutil
     import tempfile
 

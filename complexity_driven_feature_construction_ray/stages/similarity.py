@@ -24,12 +24,6 @@ def _normalize(m: np.ndarray) -> np.ndarray:
     return m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-12)
 
 
-def _topk_df(qids, ids, scores, k) -> pd.DataFrame:
-    df = pd.DataFrame({"query_id": qids, "id": ids, "score": scores})
-    df = df.sort_values(["query_id", "score", "id"], ascending=[True, False, True], kind="stable")
-    return df.groupby("query_id", sort=False).head(k).reset_index(drop=True)
-
-
 def knn_bruteforce(
     ds,
     queries: np.ndarray,

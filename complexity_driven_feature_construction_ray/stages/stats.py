@@ -286,7 +286,11 @@ def profile_columns(ds, cols: list[str]):
     (batch, column) — n/null counts, +-inf-sentinel extremes and an
     exact running sum — so the exchange is batches x columns rows and
     the merge is one tiny hash aggregate; no column ever re-scans.
-    Timestamps and ints profile through float64 (exact below 2^53)."""
+    Timestamps and ints profile through float64 (exact below 2^53).
+
+    Executes eagerly: the pass runs inside this call (the O(cols)-row
+    result is finished on the driver), and the returned Dataset is
+    built from that in-memory result."""
     from ray.data.aggregate import Max, Min, Sum
 
     def partials(batch: pa.Table) -> pa.Table:

@@ -1146,7 +1146,11 @@ def funnel(
     (C-level, no per-user Python), and only K partial-count rows per
     bucket reach the final aggregate. Callers should pre-filter the
     stream to the funnel's event types at the read — other event types
-    never enter the exchange."""
+    never enter the exchange.
+
+    Executes eagerly: the shuffle and aggregate run inside this call
+    (the K-row result is finished on the driver), and the returned
+    Dataset is built from that in-memory result."""
     from ray.data.aggregate import Sum
 
     step_names = list(steps)

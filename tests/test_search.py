@@ -11,7 +11,7 @@ from complexity_driven_feature_construction_ray.pipelines import (
     pareto_front,
     stratified_folds,
 )
-from complexity_driven_feature_construction_ray.pipelines.search import Broadcast, Scored
+from complexity_driven_feature_construction_ray.pipelines.search import Broadcast, Scored, ScoringContext
 from complexity_driven_feature_construction_ray.sources import token_table_arrow
 from complexity_driven_feature_construction_ray.stages.token_stats import (
     token_stats_arrays,
@@ -185,10 +185,10 @@ def test_failing_candidate_is_dropped_not_fatal(ray_session):
         n_tok = raw("n_tok", properties={"min": 1.0, "max": 512.0, "has_zero": False, "distinct": 512})
         bad = custom("boom", n_tok)
         s = ComplexityDrivenSearch(use_ray=False, lr_max_iter=5)
-        ctx = (cols, y, np.zeros(len(y), dtype=np.int64) % 2, s.c_grid, s.lr_max_iter)
+        ctx = ScoringContext(cols, y, np.zeros(len(y), dtype=np.int64) % 2, s.c_grid, s.lr_max_iter)
         res_serial = s._score_layer([n_tok, bad], Broadcast(ctx, use_ray=False))
         assert res_serial[1][5] is True or res_serial[1][5] == True  # const flag -> dropped
-        ctx = (cols, y, (np.arange(len(y)) % 2).astype(np.int64), s.c_grid, s.lr_max_iter)
+        ctx = ScoringContext(cols, y, (np.arange(len(y)) % 2).astype(np.int64), s.c_grid, s.lr_max_iter)
         res_ray = ComplexityDrivenSearch(use_ray=True, lr_max_iter=5, score_batch=1)._score_layer(
             [n_tok, bad, n_tok], Broadcast(ctx)
         )
