@@ -16,6 +16,8 @@ fmeasures/CTPB.py:31-73) Ray-Data-first:
   parallel Ray tasks over a broadcast feature matrix (search.Broadcast),
   and the speculative variant (fairexp_optimistic.py:356-460) evaluates
   the next k additions in parallel, accepting the first improvement.
+  One subset's k fold models and its full-sample model are fitted in
+  one batched solve (`model.grid_fit_score`), for SFFS and NSGA-II.
 
 Semantics per measure (exact reference behavior):
 - ROD (ROD.py:101-141): per context z, with _0 = rows where
@@ -34,6 +36,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+
+from .model import _standardize, grid_fit_score, stratified_folds
 
 
 # ---------------------------------------------------------------------------
@@ -221,35 +225,31 @@ def mutual_information(x: np.ndarray, y: np.ndarray, bins: int = 10) -> float:
 # speculative width per fairexp_optimistic.py:356-460)
 
 
-def _cv_f1(X: np.ndarray, y: np.ndarray, fold: np.ndarray, max_iter: int = 25) -> float:
-    from .model import LogisticRegressionNumpy, _standardize
-
+def _eval_subset(ctx, names_sel: list[str]) -> tuple[float, float]:
+    """(CV-f1, ROD) of one feature subset; `ctx` is the repair call's
+    broadcast (X, names, y, fold, sensitive, contexts, protected,
+    max_iter). The k fold models, whose test predictions give the
+    CV-f1, and the full-sample model, whose train predictions give the
+    ROD, are fitted at C=1 in one `grid_fit_score` solve."""
+    X, all_names, y, fold, sens, ctx_cols, protected, max_iter = ctx
+    Xs = X[:, [all_names.index(n) for n in names_sel]]
+    tests = [fold == f for f in range(int(fold.max()) + 1)]
+    slices = []
+    for te in tests:
+        Xtr, Xte = _standardize(Xs[~te], Xs[te])
+        slices.append((Xtr, y[~te], Xte, y[te]))
+    Xall, _ = _standardize(Xs, Xs)
+    slices.append((Xall, y, Xall, y))
+    pred = grid_fit_score(slices, (1.0,), max_iter)[2][0, :, 0] >= 0.5
     preds = np.empty(len(y), dtype=np.int8)
-    for f in range(int(fold.max()) + 1):
-        tr, te = fold != f, fold == f
-        Xtr, Xte = _standardize(X[tr], X[te])
-        clf = LogisticRegressionNumpy(C=1.0, max_iter=max_iter).fit(Xtr, y[tr])
-        preds[te] = clf.predict(Xte)
+    for f, te in enumerate(tests):
+        preds[te] = pred[f, : te.sum()]
     tp = int(((preds == 1) & (y == 1)).sum())
     fp = int(((preds == 1) & (y == 0)).sum())
     fn = int(((preds == 0) & (y == 1)).sum())
     denom = 2 * tp + fp + fn
-    return 2 * tp / denom if denom else 0.0
-
-
-def _eval_subset(ctx, names_sel: list[str]) -> tuple[float, float]:
-    """(CV-f1, ROD) of one feature subset; `ctx` is the repair call's
-    broadcast (X, names, y, fold, sensitive, contexts, protected,
-    max_iter)."""
-    from .model import LogisticRegressionNumpy, _standardize
-
-    X, all_names, y, fold, sens, ctx_cols, protected, max_iter = ctx
-    Xs = X[:, [all_names.index(n) for n in names_sel]]
-    acc = _cv_f1(Xs, y, fold, max_iter)
-    Xs2, _ = _standardize(Xs, Xs)
-    pred = LogisticRegressionNumpy(C=1.0, max_iter=max_iter).fit(Xs2, y).predict(Xs2)
-    fair = rod_arrays(pred, sens, ctx_cols, protected)
-    return acc, fair
+    acc = 2 * tp / denom if denom else 0.0
+    return acc, rod_arrays(pred[-1, : len(y)], sens, ctx_cols, protected)
 
 
 def _eval_mask(ctx, mask: np.ndarray) -> tuple[float, float, float]:
@@ -402,7 +402,6 @@ def sffs_repair(
     logged but not accepted (they were evaluated against the
     pre-acceptance set). Width 1 is plain SFFS. The answer does not
     depend on `use_ray`."""
-    from .model import stratified_folds
     from .search import Broadcast
 
     y = np.asarray(y).astype(np.int8)
@@ -553,7 +552,6 @@ def nsga2_search(
     matrix; all-zero masks get one random bit set, as in the
     reference's _evaluate (:169-173). Deterministic under `seed`.
     Returns the final non-dominated front."""
-    from .model import stratified_folds
     from .search import Broadcast
 
     y = np.asarray(y).astype(np.int8)

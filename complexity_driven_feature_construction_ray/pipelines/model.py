@@ -38,6 +38,15 @@ designs grow with the batch, and a layer-wide solve costs driver
 memory that the smaller batches do not. A search that runs in-process
 (`use_ray=False`, or a one-CPU cluster, see `search.Broadcast`) solves
 the same batches, one after another.
+
+`grid_fit_score` is the pipelines' only model fit. Besides accuracies
+and log-likelihoods it returns every problem's test probabilities, so
+the passes that read predictions fit through it too: nested CV fits
+its inner grids and outer refits in one solve, the side metrics their
+k folds at the candidate's best C (`search.py`), and FairExp a
+subset's k fold models and its full-sample model (`fairexp.py`).
+`LogisticRegressionNumpy` stays for the callers that want one model
+(`selection.py`, `stages/qualityclf.py`).
 """
 
 from __future__ import annotations
@@ -166,9 +175,10 @@ def grid_fit_score(slices, c_grid=C_GRID, max_iter: int = 25):
     y_test); binary labels fit one head on y itself, more than two
     labels fit one-vs-rest heads.
 
-    Returns (acc, ll_rows): acc[c, f] is slice f's test accuracy at
-    c_grid[c] and ll_rows[c, f, :len(y_test)] its per-row test
-    log-likelihoods."""
+    Returns (acc, ll_rows, P): acc[c, f] is slice f's test accuracy at
+    c_grid[c], ll_rows[c, f, :len(y_test)] its per-row test
+    log-likelihoods and P[c, f, h, :len(y_test)] head h's test
+    probabilities (binary: P[c, f, 0] is P(y = 1))."""
     classes = np.unique(np.concatenate([np.r_[s[1], s[3]] for s in slices]))
     multiclass = len(classes) > 2
     Xtr = _padded([s[0] for s in slices])
@@ -201,7 +211,7 @@ def grid_fit_score(slices, c_grid=C_GRID, max_iter: int = 25):
         pred = (P[:, :, 0] >= 0.5).astype(np.int8)
         ll_rows = yte * np.log(p) + (1 - yte) * np.log(1 - p)
     acc = ((pred == yte) & (np.arange(m) < n_test[:, None])).sum(axis=2) / n_test
-    return acc, ll_rows
+    return acc, ll_rows, P
 
 
 def cv_slices(X: np.ndarray, y: np.ndarray, fold: np.ndarray) -> list[tuple]:
@@ -232,7 +242,7 @@ def cv_grid_scores(
     log-likelihood from its own slices."""
     flat = [s for slices in slice_sets for s in slices]
     if flat:
-        acc, ll_rows = grid_fit_score(flat, c_grid, max_iter)
+        acc, ll_rows, _ = grid_fit_score(flat, c_grid, max_iter)
     out, at = [], 0
     for slices in slice_sets:
         if not slices:

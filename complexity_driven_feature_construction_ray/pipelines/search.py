@@ -24,6 +24,11 @@ budget (reference feature_selection/ComplexityDrivenFeatureConstruction.py:
 - one task scores `score_batch` candidates, and fits all of their
   C × fold (× one-vs-rest head) problems in one batched Newton solve
   (`model.cv_grid_scores`)
+- the re-scoring passes slice and fit the same way. `ScoringContext`
+  alone fits and evaluates feature trees: `multiple_cv_rescore` scores
+  as the search does; nested CV and the side metrics train on each
+  fold's own standardized train outputs (`fold_slices`), as the
+  reference's passes do. `model.grid_fit_score` is the only model fit
 
 Evaluation semantics per candidate mirror run_evaluation.py:247-398:
 per-fold fit of stateful nodes on the train slice only, transform of
@@ -42,6 +47,7 @@ import hashlib
 import pickle
 import time
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -59,7 +65,7 @@ from ..functions.expr import (
 )
 from ..functions.kernels import evaluate, fit_on_arrays
 from ..functions.sympy_rules import canonical_key, canonical_sympy, is_constant_expr
-from .model import C_GRID, cv_grid_scores, cv_slices, stratified_folds
+from .model import C_GRID, _standardize, cv_grid_scores, cv_slices, grid_fit_score, stratified_folds
 
 DEFAULT_GBT_AGGS = ("max", "min", "mean", "std")  # reference feature_space/division.py:41-56
 
@@ -188,6 +194,27 @@ class ScoringContext:
             col[te] = out
             hasher.update(np.round(np.nan_to_num(out, nan=-1e18), 10).tobytes())
         return col, hasher.hexdigest()
+
+    def fold_slices(self, feat: Feature, *, skip_one_label: bool = False) -> list[tuple]:
+        """Per fold, the feature's standardized (X_train, y_train, X_test,
+        y_test, test_mask). The model trains on the fold's own train
+        outputs, as the reference's re-scoring passes do; the search
+        instead trains on the out-of-fold column (`cv_slices` of
+        `column`). With `skip_one_label`, a fold whose train labels hold
+        one label is left out before anything is fitted on it."""
+        out = []
+        for cols_tr, cols_te, y_tr, te, state, train, test in self._memo():
+            if skip_one_label and y_tr.min() == y_tr.max():
+                continue
+            fit_on_arrays([feat], cols_tr, y=y_tr, fitted=state, cache=train)
+            x_tr = evaluate(feat, cols_tr, state, train)[:, None]
+            x_te = evaluate(feat, cols_te, state, test)[:, None]
+            Xtr, Xte = _standardize(
+                np.nan_to_num(x_tr, nan=0.0, posinf=0.0, neginf=0.0),
+                np.nan_to_num(x_te, nan=0.0, posinf=0.0, neginf=0.0),
+            )
+            out.append((Xtr, y_tr, Xte, self.y[te], te))
+        return out
 
     def score(self, feats: list[Feature]) -> list[tuple]:
         """(score, best_C, loglik, vhash, const) per feature. The
@@ -355,48 +382,34 @@ def _repeat_chunk(splits, item) -> list[tuple]:
     return splits[r].score(feats)
 
 
-def _nested_cv_one(feat: Feature, cols, y, fold, c_grid, max_iter) -> tuple[float, float]:
+def _nested_cv_one(
+    feat: Feature, outer: ScoringContext, inner: list[ScoringContext]
+) -> tuple[float, float]:
     """Nested CV for one candidate (reference evaluation/
     nested_cv_scikit.py:run_nested_cross_validation, ~64-107): for each
-    outer test fold, the inner folds rotate as validation to pick C by
-    mean accuracy; the model (feature fit + LR) then refits on all
-    non-test rows and scores the held-out test fold. The inner
-    (C × validation fold) grids of every test fold are fitted in one
-    batched solve (`grid_fit_score`). Returns (mean, std) of the
-    per-test-fold scores."""
-    from .model import LogisticRegressionNumpy, _standardize, grid_fit_score
-
-    def fit_slice(tr, te):
-        fitted = fit_on_arrays([feat], {c: a[tr] for c, a in cols.items()}, y=y[tr])
-        x_tr = evaluate(feat, {c: a[tr] for c, a in cols.items()}, fitted)
-        x_te = evaluate(feat, {c: a[te] for c, a in cols.items()}, fitted)
-        return _standardize(
-            np.nan_to_num(x_tr[:, None], nan=0.0, posinf=0.0, neginf=0.0),
-            np.nan_to_num(x_te[:, None], nan=0.0, posinf=0.0, neginf=0.0),
-        )
-
-    k = int(fold.max()) + 1
-    # inner grid search: every non-test fold serves as validation once
+    outer test fold t, the other folds rotate as validation to pick C by
+    mean accuracy (`inner[t]`: the rows outside fold t); the model
+    (feature fit + LR) then refits on all non-test rows and scores the
+    held-out test fold (`outer`). The inner grids and the outer refits,
+    every C of each, are fitted in one `grid_fit_score` solve; each
+    problem converges on its own, so the outer refits not read leave
+    the ones read unchanged. Returns (mean, std) of the per-test-fold
+    scores."""
     slices, owner = [], []
-    for t in range(k):
-        for v in range(k):
-            tr = (fold != t) & (fold != v)
-            if v == t or y[tr].min() == y[tr].max():
-                continue
-            Xtr, Xte = fit_slice(tr, fold == v)
-            slices.append((Xtr, y[tr], Xte, y[fold == v]))
-            owner.append(t)
-    acc = grid_fit_score(slices, c_grid, max_iter)[0] if slices else np.empty((len(c_grid), 0))
+    for t, ctx in enumerate(inner):
+        got = ctx.fold_slices(feat, skip_one_label=True)
+        slices += got
+        owner += [t] * len(got)
+    n_inner = len(slices)
+    slices += outer.fold_slices(feat)
+    c_grid = outer.c_grid
+    acc = grid_fit_score([s[:4] for s in slices], c_grid, outer.max_iter)[0]
     owner = np.asarray(owner)
     outer_scores = []
-    for t in range(k):
-        per_c = acc[:, owner == t]
+    for t in range(len(inner)):
+        per_c = acc[:, :n_inner][:, owner == t]
         best = max(range(len(c_grid)), key=lambda c: np.mean(per_c[c]) if per_c.shape[1] else -1.0)
-        # refit feature + model on everything outside the test fold
-        tr, te = fold != t, fold == t
-        Xtr, Xte = fit_slice(tr, te)
-        m = LogisticRegressionNumpy(C=c_grid[best], max_iter=max_iter).fit(Xtr, y[tr])
-        outer_scores.append(float((m.predict(Xte) == y[te]).mean()))
+        outer_scores.append(float(acc[best, n_inner + t]))
     return float(np.mean(outer_scores)), float(np.std(outer_scores))
 
 
@@ -413,13 +426,23 @@ def nested_cv_rescore(
 ) -> dict[str, tuple[float, float]]:
     """Nested-CV re-scoring of (top-k) candidates — the reference's
     nested_cv pass (evaluation/nested_cv_scikit.py; there with 20 outer
-    folds, here parameterized). One task per candidate over the
-    broadcast sample; returns name -> (mean, std) of outer-fold
-    scores."""
+    folds, here parameterized). One task per candidate over one
+    broadcast of `ScoringContext`s, whose memos every candidate of a
+    process shares: the outer split, and per outer test fold the split
+    of the rows outside it (fold ids renumbered to stay contiguous).
+    Returns name -> (mean, std) of outer-fold scores."""
     c_grid = tuple(c_grid or C_GRID)
     y = np.asarray(y).astype(np.int8)
     fold = stratified_folds(y, cv, seed)
-    shared = Broadcast((cols, y, fold, c_grid, max_iter), use_ray=use_ray)
+    inner = []
+    for t in range(int(fold.max()) + 1):
+        rows = fold != t
+        sub = fold[rows]
+        inner.append(ScoringContext(
+            {c: v[rows] for c, v in cols.items()}, y[rows], np.where(sub > t, sub - 1, sub),
+            c_grid, max_iter,
+        ))
+    shared = Broadcast((ScoringContext(cols, y, fold, c_grid, max_iter), inner), use_ray=use_ray)
     return {f.name: r for f, r in zip(features, shared.map(_nested_one, features))}
 
 
@@ -443,25 +466,23 @@ def candidate_side_metrics(
     of the single constructed column, `*_k1`) and k=expression
     complexity (`*_kc`) — plus the label-consistency ratio
     (calculate_consistency, :118-138): the fraction of rows whose
-    feature value maps to a single label."""
-    from .model import LogisticRegressionNumpy, _standardize
-
+    feature value maps to a single label. The labels must be binary."""
     y = np.asarray(y).astype(np.int8)
-    k = int(fold.max()) + 1
-    col_out = np.empty(len(y), dtype=np.float64)
+    return _side_metrics(ScoringContext(cols, y, fold, None, max_iter), feat, best_C)
+
+
+def _side_metrics(ctx: ScoringContext, feat: Feature, best_C: float) -> dict:
+    """`candidate_side_metrics` over `ctx`'s split and memo: the k fold
+    models are fitted at `best_C` in one `grid_fit_score` solve."""
+    y = ctx.y
+    if len(np.unique(y)) > 2:
+        raise ValueError("side metrics need binary labels")
+    slices = ctx.fold_slices(feat)
+    P = grid_fit_score([s[:4] for s in slices], (best_C,), ctx.max_iter)[2][0, :, 0]
     p_out = np.empty(len(y), dtype=np.float64)
-    for f in range(k):
-        tr, te = fold != f, fold == f
-        fitted = fit_on_arrays([feat], {c: a[tr] for c, a in cols.items()}, y=y[tr])
-        x_tr = evaluate(feat, {c: a[tr] for c, a in cols.items()}, fitted)
-        x_te = evaluate(feat, {c: a[te] for c, a in cols.items()}, fitted)
-        col_out[te] = x_te
-        Xtr, Xte = _standardize(
-            np.nan_to_num(x_tr[:, None], nan=0.0, posinf=0.0, neginf=0.0),
-            np.nan_to_num(x_te[:, None], nan=0.0, posinf=0.0, neginf=0.0),
-        )
-        m = LogisticRegressionNumpy(C=best_C, max_iter=max_iter).fit(Xtr, y[tr])
-        p_out[te] = m.predict_proba(Xte)
+    for f, (*_, yt, te) in enumerate(slices):
+        p_out[te] = P[f, : len(yt)]
+    col_out = ctx.column(feat)[0]
 
     n = len(y)
     rss = float(np.sum((y - p_out) ** 2))
@@ -507,12 +528,12 @@ def compute_side_metrics(
     use_ray: bool = True,
 ) -> list[Scored]:
     """Attach side metrics to each Scored (fan-out: one task per
-    candidate over a broadcast sample); returns the same objects."""
+    candidate over one broadcast `ScoringContext`, whose memo every
+    candidate of a process shares); returns the same objects."""
     y = np.asarray(y).astype(np.int8)
-    fold = stratified_folds(y, cv, seed)
-    shared = Broadcast((cols, y, fold, None, max_iter), use_ray=use_ray)
+    ctx = ScoringContext(cols, y, stratified_folds(y, cv, seed), None, max_iter)
     items = [(s.feature, s.best_C) for s in scored]
-    for s, side in zip(scored, shared.map(_side_one, items)):
+    for s, side in zip(scored, Broadcast(ctx, use_ray=use_ray).map(_side_one, items)):
         s.side = side
     return scored
 
@@ -520,11 +541,9 @@ def compute_side_metrics(
 _SIDE_KEYS = ("rss", "aic_k1", "bic_k1", "aicc_k1", "aic_kc", "bic_kc", "aicc_kc", "consistency")
 
 
-def _side_one(ctx, item) -> dict:
-    cols, y, fold, _c_grid, max_iter = ctx
-    feat, best_C = item
+def _side_one(ctx: ScoringContext, item) -> dict:
     try:
-        return candidate_side_metrics(feat, cols, y, fold, best_C, max_iter)
+        return _side_metrics(ctx, *item)
     except Exception:  # drop-not-crash, as in the scoring fan-out
         return dict.fromkeys(_SIDE_KEYS, float("nan"))
 
@@ -736,28 +755,41 @@ class ComplexityDrivenSearch:
                 fresh.append(f)
             return fresh
 
-        champions: dict[int, Scored] = {}  # best-so-far after each layer
-        c_limit = self.c_max if self.c_max is not None else self.hard_c_cap
         # one broadcast per run, held only here: a retry builds its own,
         # so it can never score against a previous run's sample
         shared = Broadcast(
             ScoringContext(cols, y, fold, self.c_grid, self.lr_max_iter),
             use_ray=self.use_ray,
         )
+
+        def score(layer: list[Feature], keep=None) -> list[Scored]:
+            """Scores `layer`, drops the constant and value-duplicate
+            candidates, records the rest in `all_scored` and `scores`, and
+            returns them in layer order."""
+            fresh = []
+            for f, acc, best_c, ll, vhash, const in self._score_layer(layer, shared, keep):
+                if const:
+                    stats["constant"] += 1
+                elif vhash in seen_values:
+                    stats["deduped_value"] += 1
+                else:
+                    seen_values.add(vhash)
+                    sc = all_scored[f.name] = Scored(f, acc, best_c, ll)
+                    scores[f.name] = acc
+                    fresh.append(sc)
+            return fresh
+
+        champions: dict[int, Scored] = {}  # best-so-far after each layer
+        c_limit = self.c_max if self.c_max is not None else self.hard_c_cap
+        fi = clean_raws + parked + cat_raws
         if self.strategy == "explorekit":
-            self._run_explorekit(
-                shared, clean_raws, parked, cat_raws,
-                admit, survivors, all_scored, scores, seen_values, stats, champions,
-            )
+            self._run_explorekit(fi, admit, score, survivors, all_scored, champions)
         elif self.strategy == "tree":
-            self._run_tree(
-                shared, clean_raws, parked, cat_raws,
-                admit, survivors, all_scored, scores, seen_values, stats, champions,
-            )
+            self._run_tree(fi, admit, score, survivors, all_scored, champions)
         else:
             self._run_layers(
-                c_limit, t0, shared, clean_raws, parked, cat_raws,
-                admit, survivors, all_scored, scores, seen_values, stats, champions,
+                c_limit, t0, clean_raws, parked, cat_raws,
+                admit, score, survivors, all_scored, scores, stats, champions,
             )
         flat = list(all_scored.values())
         best = max(flat, key=lambda s: s.score)
@@ -768,8 +800,8 @@ class ComplexityDrivenSearch:
         return SearchResult(survivors, all_scored, best, front, aicc, stats)
 
     def _run_layers(
-        self, c_limit, t0, shared, clean_raws, parked, cat_raws,
-        admit, survivors, all_scored, scores, seen_values, stats, champions,
+        self, c_limit, t0, clean_raws, parked, cat_raws,
+        admit, score, survivors, all_scored, scores, stats, champions,
     ):
         raw_names = frozenset(f.name for f in clean_raws + parked + cat_raws)
         for c in range(1, c_limit + 1):
@@ -815,24 +847,15 @@ class ComplexityDrivenSearch:
 
             # the memo keeps the raws and survivors: the possible parents
             keep = (c, raw_names.union(s.name for lv in survivors.values() for s in lv))
-            results = self._score_layer(layer, shared, keep)
             kept: list[Scored] = []
-            for f, score, best_c, ll, vhash, const in results:
-                if const:
-                    stats["constant"] += 1
-                    continue
-                if vhash in seen_values:
-                    stats["deduped_value"] += 1
-                    continue
-                seen_values.add(vhash)
-                sc = Scored(f, score, best_c, ll)
-                all_scored[f.name] = sc
-                scores[f.name] = score
-                always_pass = f.op in ("raw", "onehot")
+            # the ε gate; every parent is of a lower layer, so its score
+            # is already in `scores`
+            for sc in score(layer, keep):
+                always_pass = sc.feature.op in ("raw", "onehot")
                 parent_best = max(
-                    (scores.get(p.name, 0.0) for p in f.parents), default=0.0
+                    (scores.get(p.name, 0.0) for p in sc.feature.parents), default=0.0
                 )
-                if always_pass or score - parent_best > self.epsilon:
+                if always_pass or sc.score - parent_best > self.epsilon:
                     kept.append(sc)
                 else:
                     stats["pruned_eps"] += 1
@@ -849,46 +872,30 @@ class ComplexityDrivenSearch:
                 stats["harmonic_stop"] = c
                 break
 
-    def _run_explorekit(
-        self, shared, clean_raws, parked, cat_raws,
-        admit, survivors, all_scored, scores, seen_values, stats, champions,
-    ):
+    def _enum_ops(self) -> dict:
+        """The strategy's op families as `explorekit_generate` and
+        `tree_expand` take them."""
+        return dict(
+            unary_ops=tuple(op for op in self.unary_ops if op in UNARY_OPS),
+            commutative_ops=tuple(op for op in self.binary_ops if op in ("add", "mul")),
+            ordered_ops=tuple(op for op in self.binary_ops if op in ("div", "sub")),
+            gbt_aggs=self.gbt_aggs,
+        )
+
+    def _run_explorekit(self, fi, admit, score, survivors, all_scored, champions):
         """ExploreKit's one-shot enumeration instead of the layered
         complexity loop: Fui / Foi / Foui generated up front (reference
         candidate_generation/explorekit/Generator.py:27-94), scored in a
         single pass. No ε-parent gate — ExploreKit ranks candidates
         standalone; the engine's constant/sympy/value dedup still
         applies."""
-        fi = clean_raws + parked + cat_raws
-        layer = admit(list(fi)) + admit(
-            explorekit_generate(
-                fi,
-                unary_ops=tuple(op for op in self.unary_ops if op in UNARY_OPS),
-                commutative_ops=tuple(op for op in self.binary_ops if op in ("add", "mul")),
-                ordered_ops=tuple(op for op in self.binary_ops if op in ("div", "sub")),
-                gbt_aggs=self.gbt_aggs,
-            )
-        )
-        results = self._score_layer(layer, shared)
-        for f, score, best_c, ll, vhash, const in results:
-            if const:
-                stats["constant"] += 1
-                continue
-            if vhash in seen_values:
-                stats["deduped_value"] += 1
-                continue
-            seen_values.add(vhash)
-            sc = Scored(f, score, best_c, ll)
-            all_scored[f.name] = sc
-            scores[f.name] = score
-            survivors.setdefault(f.complexity, []).append(sc)
+        layer = admit(list(fi)) + admit(explorekit_generate(fi, **self._enum_ops()))
+        for sc in score(layer):
+            survivors.setdefault(sc.complexity, []).append(sc)
         if all_scored:
             champions[1] = max(all_scored.values(), key=lambda s: s.score)
 
-    def _run_tree(
-        self, shared, clean_raws, parked, cat_raws,
-        admit, survivors, all_scored, scores, seen_values, stats, champions,
-    ):
+    def _run_tree(self, fi, admit, score, survivors, all_scored, champions):
         """TreeGenerator's depth-layered BFS (reference
         candidate_generation/TreeGenerator.py:62-143): F[0] = the raw
         features; layer d+1 applies EVERY transformation to ALL features
@@ -899,26 +906,14 @@ class ComplexityDrivenSearch:
         engine's shared constant/sympy/value dedup and the scoring fan-out
         so the result table has the same shape as the other strategies.
         No ε-parent gate, matching the reference."""
-        fi = clean_raws + parked + cat_raws
         frontier = admit(list(fi))
         accumulated: list[Feature] = []
         raw_names = frozenset(f.name for f in fi)
         for d in range(self.tree_depth + 1):
             keep = (d, raw_names.union(f.name for f in accumulated))
-            results = self._score_layer(frontier, shared, keep)
-            for f, score, best_c, ll, vhash, const in results:
-                if const:
-                    stats["constant"] += 1
-                    continue
-                if vhash in seen_values:
-                    stats["deduped_value"] += 1
-                    continue
-                seen_values.add(vhash)
-                sc = Scored(f, score, best_c, ll)
-                all_scored[f.name] = sc
-                scores[f.name] = score
-                survivors.setdefault(f.complexity, []).append(sc)
-                accumulated.append(f)
+            for sc in score(frontier, keep):
+                survivors.setdefault(sc.complexity, []).append(sc)
+                accumulated.append(sc.feature)
             if all_scored:
                 champions[d + 1] = max(all_scored.values(), key=lambda s: s.score)
             if d == self.tree_depth:
@@ -929,19 +924,41 @@ class ComplexityDrivenSearch:
                     (all_scored[f.name] for f in pool), key=lambda s: -s.score
                 )
                 pool = [s.feature for s in ranked[: self.tree_frontier_cap]]
-            frontier = admit(
-                tree_expand(
-                    pool,
-                    unary_ops=tuple(op for op in self.unary_ops if op in UNARY_OPS),
-                    commutative_ops=tuple(
-                        op for op in self.binary_ops if op in ("add", "mul")
-                    ),
-                    ordered_ops=tuple(
-                        op for op in self.binary_ops if op in ("div", "sub")
-                    ),
-                    gbt_aggs=self.gbt_aggs,
-                )
-            )
+            frontier = admit(tree_expand(pool, **self._enum_ops()))
+
+
+def _unary_over(feats: list[Feature], unary_ops: tuple) -> list[Feature]:
+    """Every applicable unary op over `feats`, transformation-major."""
+    return [unary(op, p) for op in unary_ops for p in feats if is_applicable(op, (p,))]
+
+
+def _higher_order_over(
+    feats: list[Feature], commutative_ops: tuple, ordered_ops: tuple, gbt_aggs: tuple
+) -> list[Feature]:
+    """Every applicable binary and GroupByThen candidate over `feats`,
+    transformation-major: commutative ops over combinations with
+    replacement, ordered ops and (value, key) GroupByThen over ordered
+    pairs without repetition (reference Transformation.get_combinations,
+    transformations/Transformation.py:72-83)."""
+    out = [
+        binary(op, a, b)
+        for op in commutative_ops
+        for a, b in combinations_with_replacement(feats, 2)
+        if is_applicable(op, (a, b))
+    ]
+    out += [
+        binary(op, a, b)
+        for op in ordered_ops
+        for a, b in permutations(feats, 2)
+        if is_applicable(op, (a, b))
+    ]
+    out += [
+        groupbythen(agg, v, k)
+        for agg in gbt_aggs
+        for v, k in permutations(feats, 2)
+        if is_applicable(f"gbt_{agg}", (v, k))
+    ]
+    return out
 
 
 def tree_expand(
@@ -957,31 +974,11 @@ def tree_expand(
     TreeGenerator.py:46-53 generate_for_transformation over the
     transformations list built at :66-84 — unaries first, then
     nansum/nanprod, then divide/subtract, then GroupByThen). Pair
-    semantics follow Transformation.get_combinations
-    (transformations/Transformation.py:72-83): combinations WITH
-    replacement for commutative ops, ordered pairs without repetition
-    for binary and (value, key) GroupByThen. Applicability runs this
+    semantics follow `_higher_order_over`. Applicability runs this
     engine's predicates (functions/expr.py:is_applicable)."""
-    from itertools import combinations_with_replacement, permutations
-
-    out: list[Feature] = []
-    for op in unary_ops:
-        for p in feats:
-            if is_applicable(op, (p,)):
-                out.append(unary(op, p))
-    for op in commutative_ops:
-        for a, b in combinations_with_replacement(feats, 2):
-            if is_applicable(op, (a, b)):
-                out.append(binary(op, a, b))
-    for op in ordered_ops:
-        for a, b in permutations(feats, 2):
-            if is_applicable(op, (a, b)):
-                out.append(binary(op, a, b))
-    for agg in gbt_aggs:
-        for v, k in permutations(feats, 2):
-            if is_applicable(f"gbt_{agg}", (v, k)):
-                out.append(groupbythen(agg, v, k))
-    return out
+    return _unary_over(feats, unary_ops) + _higher_order_over(
+        feats, commutative_ops, ordered_ops, gbt_aggs
+    )
 
 
 def explorekit_generate(
@@ -1017,37 +1014,10 @@ def explorekit_generate(
     per-transformation is_applicable checks (numeric-only operands,
     no re-discretize/re-scale, div-by-zero guard, gbt value without
     missing values)."""
-    from itertools import combinations_with_replacement, permutations
-
-    def unary_over(feats: list[Feature]) -> list[Feature]:
-        out = []
-        for op in unary_ops:
-            for p in feats:
-                if is_applicable(op, (p,)):
-                    out.append(unary(op, p))
-        return out
-
-    def higher_order_over(feats: list[Feature]) -> list[Feature]:
-        out = []
-        for op in commutative_ops:
-            for a, b in combinations_with_replacement(feats, 2):
-                if is_applicable(op, (a, b)):
-                    out.append(binary(op, a, b))
-        for op in ordered_ops:
-            for a, b in permutations(feats, 2):
-                if is_applicable(op, (a, b)):
-                    out.append(binary(op, a, b))
-        for agg in gbt_aggs:
-            for v, k in permutations(feats, 2):
-                if is_applicable(f"gbt_{agg}", (v, k)):
-                    out.append(groupbythen(agg, v, k))
-        return out
-
     fi = list(base_features)
-    fui = unary_over(fi)
-    foi = higher_order_over(fi + fui)
-    foui = unary_over(foi)
-    out = fui + foi + foui
+    fui = _unary_over(fi, unary_ops)
+    foi = _higher_order_over(fi + fui, commutative_ops, ordered_ops, gbt_aggs)
+    out = fui + foi + _unary_over(foi, unary_ops)
     if include_raw:
         out.extend(fi)
     return out

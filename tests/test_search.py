@@ -185,9 +185,10 @@ def test_failing_candidate_is_dropped_not_fatal(ray_session):
         n_tok = raw("n_tok", properties={"min": 1.0, "max": 512.0, "has_zero": False, "distinct": 512})
         bad = custom("boom", n_tok)
         s = ComplexityDrivenSearch(use_ray=False, lr_max_iter=5)
-        ctx = ScoringContext(cols, y, np.zeros(len(y), dtype=np.int64) % 2, s.c_grid, s.lr_max_iter)
-        res_serial = s._score_layer([n_tok, bad], Broadcast(ctx, use_ray=False))
-        assert res_serial[1][5] is True or res_serial[1][5] == True  # const flag -> dropped
+        ctx = ScoringContext(cols, y, stratified_folds(y, 3), s.c_grid, s.lr_max_iter)
+        good, dropped = s._score_layer([n_tok, bad], Broadcast(ctx, use_ray=False))
+        assert good[5] is False and good[1] > 0.5  # the good raw still scores
+        assert dropped[5] is True and dropped[4] == "error:boom(n_tok)"  # const flag -> dropped
         ctx = ScoringContext(cols, y, (np.arange(len(y)) % 2).astype(np.int64), s.c_grid, s.lr_max_iter)
         res_ray = ComplexityDrivenSearch(use_ray=True, lr_max_iter=5, score_batch=1)._score_layer(
             [n_tok, bad, n_tok], Broadcast(ctx)
