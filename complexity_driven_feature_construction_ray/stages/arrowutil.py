@@ -54,6 +54,65 @@ def sorted_lookup(sorted_keys: np.ndarray, values: np.ndarray):
     return idx, sorted_keys[idx] == values
 
 
+def _fold_dtype(dtype: np.dtype) -> np.dtype:
+    # integer folds accumulate in int64 (uint64 stays unsigned), float
+    # folds in at least float64 -- the accumulators the relational
+    # queries always allocated by hand
+    if dtype.kind in "bi" or (dtype.kind == "u" and dtype.itemsize < 8):
+        return np.dtype(np.int64)
+    if dtype.kind == "f":
+        return np.promote_types(dtype, np.float64)
+    if dtype.kind == "u":
+        return dtype
+    raise TypeError(f"bucket_fold: cannot fold values of dtype {dtype}")
+
+
+def _fold_identity(ufunc, dtype: np.dtype):
+    if ufunc is np.add:
+        return 0
+    top, bottom = (np.inf, -np.inf) if dtype.kind == "f" else (
+        np.iinfo(dtype).max, np.iinfo(dtype).min)
+    if ufunc is np.minimum:
+        return top
+    if ufunc is np.maximum:
+        return bottom
+    raise ValueError(f"bucket_fold: unsupported ufunc {ufunc!r}")
+
+
+def bucket_fold(keys, *folds):
+    '''Group rows by `keys` and fold value columns per group:
+    `bucket_fold(keys, (np.add, rev), (np.maximum, t))` returns
+    `(distinct_keys, counts, rev_sums, t_maxima)`.
+
+    `keys` is 1-D, or a 2-D stack whose COLUMNS are the rows (grouped
+    with `np.unique(axis=1)`); distinct keys come back as np.unique
+    orders them. `counts` is each key's row count (int64). Each
+    `(ufunc, values)` pair, for ufunc in np.add / np.minimum /
+    np.maximum, yields one array aligned with the distinct keys,
+    started from the ufunc's identity for the accumulator dtype (0;
+    the dtype's max or +inf; its min or -inf) -- every key has a row,
+    so the identity never survives, whatever the sign of the values.
+    Integers fold in int64 and floats in float64. The fold is `ufunc.at`
+    in row order, so float sums are bit-equal to a sequential loop and
+    int64 sums stay exact past 2**53 (np.bincount(weights=) would not).
+    Empty input gives empty outputs.'''
+    keys = np.asarray(keys)
+    if keys.ndim == 2:
+        uniq, inv = np.unique(keys, axis=1, return_inverse=True)
+    else:
+        uniq, inv = np.unique(keys, return_inverse=True)
+    inv = inv.reshape(-1)
+    n = uniq.shape[-1]
+    out = [uniq, np.bincount(inv, minlength=n).astype(np.int64)]
+    for ufunc, values in folds:
+        values = np.asarray(values)
+        dtype = _fold_dtype(values.dtype)
+        acc = np.full(n, _fold_identity(ufunc, dtype), dtype=dtype)
+        ufunc.at(acc, inv, values)
+        out.append(acc)
+    return tuple(out)
+
+
 def list_to_binary(col) -> pa.Array:
     """Encode each row of a list<int32> column as its raw little-endian
     bytes, producing a large_binary array built directly from the flat

@@ -324,6 +324,45 @@ def grouped_map(ds, key: str, fn, *, num_buckets: int | None = None, batch_forma
     return tagged.groupby("__gm_bucket").map_groups(run, batch_format=batch_format)
 
 
+def fused_exchange(first, second, key: str, fn, *, num_buckets: int | None = None):
+    """Co-group two Datasets by `key` through ONE hash exchange and call
+    `fn(first_rows, second_rows)` once per bucket.
+
+    This is the tagged-union plan: each side's rows are tagged, the two
+    streams union, and one `grouped_map` exchange puts every row of a
+    key -- a fact-side partial and its header alike -- in the same
+    bucket. A groupby on one side followed by a join to the other
+    pays two exchanges of the same key; this pays one.
+
+    `fn` gets two `pa.Table`s holding the bucket's rows of each side in
+    arrival order. Either may have 0 rows (a bucket of lines whose
+    headers were all filtered out, or headers with no lines), so a
+    header probe inside `fn` must check for a hit (`sorted_lookup`).
+    The tag never reaches `fn`. Both sides must carry one schema (pad
+    the other side's columns): Ray's union expects the same schema in
+    every block. `fn` returns what `map_groups` accepts; a callback
+    written for pandas calls `.to_pandas()` itself. `num_buckets` is
+    passed through to `grouped_map`.
+    """
+    import pyarrow.compute as pc
+
+    def tagger(side: int):
+        def tag(batch: pa.Table) -> pa.Table:
+            return batch.append_column(
+                "__fx_side", pa.array(np.full(batch.num_rows, side, np.int8)))
+        return tag
+
+    def run(g: pa.Table):
+        second_rows = pc.equal(g["__fx_side"], 1)
+        g = g.drop_columns(["__fx_side"])
+        return fn(g.filter(pc.invert(second_rows)), g.filter(second_rows))
+
+    both = first.map_batches(tagger(0), batch_format="pyarrow").union(
+        second.map_batches(tagger(1), batch_format="pyarrow"))
+    return grouped_map(both, key, run, num_buckets=num_buckets,
+                       batch_format="pyarrow")
+
+
 def asof_join(
     probe_ds,
     event_ds,

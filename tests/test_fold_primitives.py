@@ -1,0 +1,166 @@
+"""The two fold primitives the relational queries share:
+`stages.arrowutil.bucket_fold` (grouped ufunc folds) against a pandas
+groupby, and `stages.temporal.fused_exchange` (one tagged-union
+exchange) on one-sided buckets, empty inputs and 1 vs 16 buckets."""
+
+import uuid
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pytest
+import ray
+
+from complexity_driven_feature_construction_ray.stages.arrowutil import bucket_fold
+from complexity_driven_feature_construction_ray.stages.temporal import fused_exchange
+
+
+def _groupby(keys, values, how):
+    df = pd.DataFrame({"k": keys, "v": values})
+    g = df.groupby("k", sort=True)["v"]
+    return g.agg(how).index.to_numpy(), g.agg(how).to_numpy(), g.size().to_numpy()
+
+
+def test_int64_sum_near_2_62_is_exact():
+    rng = np.random.default_rng(0)
+    keys = rng.permutation(np.repeat(np.arange(4), 16))
+    values = (1 << 58) + rng.integers(0, 1 << 20, 64)  # group sums just past 2**62
+    ks, n, s = bucket_fold(keys, (np.add, values))
+    gk, gs, gn = _groupby(keys, values, "sum")
+    assert s.dtype == np.int64
+    np.testing.assert_array_equal(ks, gk)
+    np.testing.assert_array_equal(n, gn)
+    np.testing.assert_array_equal(s, gs)
+    exact = [sum(int(v) for v in values[keys == k]) for k in ks]
+    assert [int(v) for v in s] == exact
+    assert min(exact) > 2**62
+    # the float64 route would round these sums
+    assert any(int(float(e)) != e for e in exact)
+
+
+def test_float_sum_is_bit_equal_to_the_add_at_loop():
+    rng = np.random.default_rng(1)
+    keys = rng.integers(0, 7, 500)
+    values = rng.normal(size=500) * 10.0 ** rng.integers(-6, 6, 500)
+    ks, _, s = bucket_fold(keys, (np.add, values))
+    uniq, inv = np.unique(keys, return_inverse=True)
+    loop = np.zeros(len(uniq))
+    for i, v in zip(inv, values):
+        loop[i] += v
+    np.testing.assert_array_equal(ks, uniq)
+    assert s.tobytes() == loop.tobytes()
+    np.testing.assert_allclose(s, _groupby(keys, values, "sum")[1], rtol=1e-9)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float64])
+def test_max_of_negatives_and_min_of_positives(dtype):
+    rng = np.random.default_rng(2)
+    keys = rng.integers(0, 5, 200)
+    neg = -(rng.integers(1, 1000, 200)).astype(dtype)
+    pos = rng.integers(1, 1000, 200).astype(dtype)
+    ks, _, mx, mn = bucket_fold(keys, (np.maximum, neg), (np.minimum, pos))
+    np.testing.assert_array_equal(mx, _groupby(keys, neg, "max")[1])
+    np.testing.assert_array_equal(mn, _groupby(keys, pos, "min")[1])
+    assert (mx < 0).all() and (mn > 0).all()
+
+
+def test_two_dimensional_key_groups_by_column():
+    rng = np.random.default_rng(3)
+    a = rng.integers(0, 6, 300)
+    b = rng.integers(-3, 3, 300)
+    v = rng.integers(-100, 100, 300)
+    uk, n, s, mx = bucket_fold(np.stack([a, b]), (np.add, v), (np.maximum, v))
+    g = pd.DataFrame({"a": a, "b": b, "v": v}).groupby(["a", "b"], sort=True)["v"]
+    ref = g.agg(["size", "sum", "max"]).reset_index()
+    assert uk.shape == (2, len(ref))
+    np.testing.assert_array_equal(uk[0], ref["a"])
+    np.testing.assert_array_equal(uk[1], ref["b"])
+    np.testing.assert_array_equal(n, ref["size"])
+    np.testing.assert_array_equal(s, ref["sum"])
+    np.testing.assert_array_equal(mx, ref["max"])
+
+
+def test_zero_rows():
+    ks, n, s, mx = bucket_fold(np.array([], np.int64),
+                               (np.add, np.array([], np.int64)),
+                               (np.maximum, np.array([], np.float64)))
+    assert len(ks) == len(n) == len(s) == len(mx) == 0
+    assert n.dtype == s.dtype == np.int64 and mx.dtype == np.float64
+    uk, n = bucket_fold(np.empty((2, 0), np.int64))
+    assert uk.shape == (2, 0) and len(n) == 0
+
+
+def _echo():
+    # a closure, so Ray ships it by value (workers cannot import a
+    # test module): one output row per input row, tagged with what
+    # this call saw
+    def echo(first: pa.Table, second: pa.Table) -> pa.Table:
+        call = uuid.uuid4().hex
+        seen = ",".join(first.column_names) + "|" + ",".join(second.column_names)
+        n = first.num_rows + second.num_rows
+        return pa.table({
+            "k": np.concatenate([first["k"].to_numpy(), second["k"].to_numpy()]),
+            "v": np.concatenate([first["v"].to_numpy(), second["v"].to_numpy()]),
+            "side": np.repeat([0, 1], [first.num_rows, second.num_rows]),
+            "call": [call] * n,
+            "seen": [seen] * n,
+            "second_rows": np.full(n, second.num_rows),
+        })
+    return echo
+
+
+def _side(keys, base):
+    keys = np.asarray(keys, np.int64)
+    return pa.table({"k": keys, "v": base + np.arange(len(keys), dtype=np.int64)})
+
+
+@pytest.mark.parametrize("num_buckets", [1, 16])
+def test_fused_exchange_co_groups_both_sides(num_buckets):
+    # keys 8..31 map to buckets that hold first-side rows only at 16
+    first = _side(np.repeat(np.arange(32), 2), 0)
+    second = _side(np.arange(8), 1000)
+    out = fused_exchange(ray.data.from_arrow(first), ray.data.from_arrow(second),
+                         "k", _echo(), num_buckets=num_buckets).to_pandas()
+    # every input row arrives once, on its own side, without the tag
+    got = out.sort_values(["side", "k", "v"])[["k", "v", "side"]]
+    ref = pd.concat([first.to_pandas().assign(side=0),
+                     second.to_pandas().assign(side=1)]).sort_values(["side", "k", "v"])
+    np.testing.assert_array_equal(got.to_numpy(), ref.to_numpy())
+    assert set(out["seen"]) == {"k,v|k,v"}
+    # each key meets all its rows, from both sides, in one call
+    assert (out.groupby("k")["call"].nunique() == 1).all()
+    if num_buckets == 1:
+        assert out["call"].nunique() == 1
+    else:
+        assert out["call"].nunique() == 16
+        one_sided = out.loc[out["second_rows"] == 0, "k"]
+        assert len(one_sided) and (one_sided % 16 >= 8).all()
+
+
+def test_fused_exchange_with_only_one_side_in_every_bucket():
+    first = _side(np.arange(10), 0)
+    out = fused_exchange(ray.data.from_arrow(first),
+                         ray.data.from_arrow(first.slice(0, 0)),
+                         "k", _echo(), num_buckets=4).to_pandas()
+    assert sorted(out["k"]) == list(range(10))
+    assert (out["side"] == 0).all() and (out["second_rows"] == 0).all()
+
+
+def test_fused_exchange_with_both_sides_empty():
+    empty = ray.data.from_arrow(_side([], 0))
+    out = fused_exchange(empty, empty, "k", _echo(), num_buckets=16)
+    assert out.take_all() == []
+
+
+def test_relational_queries_do_not_inline_the_fold_or_the_header_probe():
+    # the grouped fold lives in bucket_fold and the in-bucket header
+    # probe in sorted_lookup; hand-inlined copies drift (a max started
+    # at 0, a probe with no hit check)
+    import inspect
+    import re
+
+    from complexity_driven_feature_construction_ray.pipelines import relational
+
+    src = inspect.getsource(relational)
+    assert not re.findall(r"np\.(?:add|minimum|maximum)\.at\(", src)
+    assert "# FK: header" not in src

@@ -1,7 +1,8 @@
 """Degenerate inputs the fused relational plans must answer like their
 DuckDB twins: a hash bucket holding no in-market order header
-(q_market_share) and a brand whose every customer total is negative
-(q_brand_customer_dependency)."""
+(q_market_share), a brand whose every customer total is negative
+(q_brand_customer_dependency), and lineitems whose order header is
+missing (every fused plan that probes a header in its bucket)."""
 
 import os
 import sys
@@ -9,12 +10,14 @@ import sys
 import duckdb
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools"))
 
 from check_empty import SCHEMA_SRC as SRC  # noqa: E402
 from check_oracle import to_pandas, value_hash  # noqa: E402
 
+from complexity_driven_feature_construction_ray.pipelines import relational  # noqa: E402
 from complexity_driven_feature_construction_ray.pipelines.relational import (  # noqa: E402
     Q_BRAND_CUSTOMER_DEPENDENCY_SQL,
     Q_MARKET_SHARE_SQL,
@@ -45,9 +48,10 @@ def _twin(sf_dir, sql):
     return con.execute(sql).fetchdf()
 
 
-def _assert_matches_twin(got, exp):
+def _assert_matches_twin(got, exp, nonempty=True):
     got = to_pandas(got)
-    assert len(got) == len(exp) > 0
+    assert len(got) == len(exp)
+    assert len(exp) > 0 or not nonempty
     assert sorted(got.columns) == sorted(exp.columns)
     assert value_hash(got) == value_hash(exp)
 
@@ -87,3 +91,37 @@ def test_brand_dependency_with_zero_and_negative_revenue(ray_session, tmp_path):
     exp = _twin(sf, Q_BRAND_CUSTOMER_DEPENDENCY_SQL)
     assert int(exp.loc[exp["brand"] == brand, "top_customer_units"].iloc[0]) < 0
     _assert_matches_twin(q_brand_customer_dependency(sf), exp)
+
+
+# every fused_exchange plan whose bucket probes a header side
+HEADER_PROBES = [
+    "q_acctbal_revenue_corr", "q_big_orders", "q_brand_hhi_trend",
+    "q_interval_coverage", "q_interval_join", "q_local_supplier_revenue",
+    "q_market_share", "q_nation_brand_lift", "q_open_orders_curve",
+    "q_order_fill_latency", "q_order_reconcile",
+    "q_order_value_by_linecount", "q_regional_price_parity",
+    "q_status_consistency", "q_supplier_latency", "q_three_way_join",
+    "q_trade_asymmetry", "q_trade_balance", "q_wealth_activity",
+]
+
+
+@pytest.fixture(scope="module")
+def orphan_lines(tmp_path_factory):
+    """The 10th, 20th, ... order rows deleted: their lineitems have no
+    header."""
+    def edit(t, df):
+        if t == "orders":
+            return df.drop(df.index[9::10])
+        return None
+
+    return _fixture(tmp_path_factory.mktemp("orphans"), edit)
+
+
+@pytest.mark.parametrize("name", HEADER_PROBES)
+def test_orphan_lines_join_like_the_twin(ray_session, orphan_lines, name):
+    fn = getattr(relational, name)
+    sql = getattr(relational, name.upper() + "_SQL")
+    # q_nation_brand_lift's support filter (n >= 50) leaves no cell at
+    # this size once the orphan lines drop, in the twin too
+    _assert_matches_twin(fn(orphan_lines), _twin(orphan_lines, sql),
+                         nonempty=name != "q_nation_brand_lift")
