@@ -2,10 +2,9 @@
 
 Every windowed / as-of / grouped-map / dedup stage hashes entities into
 B buckets and processes each bucket as ONE in-memory table inside
-groupby(bucket).map_groups. A CPU-derived B (2xCPUs) is a scale
-killer: at 100 TB each bucket would be ~dataset/64 and the map_groups
-task OOMs. B must scale with DATA SIZE — rows / target-rows-per-bucket
-— with the CPU count only as a parallelism floor.
+groupby(bucket).map_groups. B scales with DATA SIZE so bucket memory
+stays bounded at 100 TB; the CPU count is the only floor (more buckets
+than CPUs on small input only add tasks and exchange fragments).
 
 Row counts come from Dataset metadata only (`ds._meta_count()`), which
 is free for read_parquet / from_pandas / repartition lineages and None
@@ -16,6 +15,7 @@ for map lineages — callers that transform before bucketing either pass
 from __future__ import annotations
 
 import math
+import os
 
 # One bucket materializes as a single Arrow table in a map_groups task.
 # 250k rows of ~1 KiB documents ~= 256 MiB — safely inside a worker
@@ -25,14 +25,14 @@ TARGET_ROWS_PER_BUCKET = 250_000
 
 
 def cpu_floor() -> int:
-    """Parallelism floor: 2x cluster CPUs (min 8) so small inputs still
-    fan out across the machine."""
+    """Parallelism floor: the cluster's CPU count (at least 1); before
+    Ray starts, the machine's (what a default `ray.init` gets)."""
     try:
         import ray
 
-        return max(8, 2 * int(ray.cluster_resources().get("CPU", 4)))
-    except Exception:  # pragma: no cover
-        return 8
+        return max(1, int(ray.cluster_resources().get("CPU", 1)))
+    except Exception:  # Ray not started yet
+        return os.cpu_count() or 1
 
 
 def data_sized_buckets(

@@ -294,8 +294,8 @@ def grouped_map(ds, key: str, fn, *, num_buckets: int | None = None, batch_forma
     For per-entity logic that is already vectorized across entities
     (pandas groupby inside `fn`), this replaces groupby(key).map_groups
     — which pays a Python call per DISTINCT KEY (10k users = 10k calls)
-    — with one call per bucket (~2xCPUs). `fn` must group by `key`
-    itself; every row of a key lands in exactly one bucket.
+    — with one call per bucket (one per CPU on small inputs). `fn` must
+    group by `key` itself; every row of a key lands in exactly one bucket.
 
     materialize_input=True snapshots the bucket-tagged stream into the
     object store BEFORE the groupby's sort exchange. Ray 2.49's

@@ -1,13 +1,15 @@
 """Degenerate inputs the fused relational plans must answer like their
 DuckDB twins: a hash bucket holding no in-market order header
 (q_market_share), a brand whose every customer total is negative
-(q_brand_customer_dependency), and lineitems whose order header is
-missing (every fused plan that probes a header in its bucket)."""
+(q_brand_customer_dependency), lineitems whose order header is
+missing (every fused plan that probes a header in its bucket), and an
+empty orders table (no line joins a header at all)."""
 
 import os
 import sys
 
 import duckdb
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
@@ -125,3 +127,32 @@ def test_orphan_lines_join_like_the_twin(ray_session, orphan_lines, name):
     # this size once the orphan lines drop, in the twin too
     _assert_matches_twin(fn(orphan_lines), _twin(orphan_lines, sql),
                          nonempty=name != "q_nation_brand_lift")
+
+
+@pytest.fixture(scope="module")
+def no_orders(tmp_path_factory):
+    """Every order row deleted: no lineitem has a header."""
+    def edit(t, df):
+        return df.iloc[:0] if t == "orders" else None
+
+    return _fixture(tmp_path_factory.mktemp("no_orders"), edit)
+
+
+def test_interval_join_without_orders_keeps_the_twin_schema(ray_session, no_orders):
+    got = relational.q_interval_join(no_orders)
+    exp = _twin(no_orders, relational.Q_INTERVAL_JOIN_SQL)
+    assert list(to_pandas(got).columns) == list(exp.columns)
+    _assert_matches_twin(got, exp, nonempty=False)
+
+
+@pytest.mark.parametrize("name, null_cols", [
+    ("q_join_size_est", ["join_rows", "max_key_product"]),
+    ("q_order_reconcile", ["mean_abs_gap", "max_abs_gap"]),
+])
+def test_folds_over_no_joined_row_are_null(ray_session, no_orders, name, null_cols):
+    with np.errstate(all="raise"):  # no 0/0 on the driver
+        got = getattr(relational, name)(no_orders)
+    exp = _twin(no_orders, getattr(relational, name.upper() + "_SQL"))
+    assert exp[null_cols].isna().all(axis=None)
+    assert to_pandas(got)[null_cols].isna().all(axis=None)
+    _assert_matches_twin(got, exp)

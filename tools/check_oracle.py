@@ -2,12 +2,16 @@
 entry at a given sf and compare against oracle_sql() via DuckDB
 (row count + schema + order-insensitive value hash).
 
-Usage: python tools/check_oracle.py [sf_dir] [query ...]
+Usage: python tools/check_oracle.py [--num-cpus N] [sf_dir] [query ...]
+
+--num-cpus sets the CPUs of the local Ray cluster it starts (default 8).
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import os
 import sys
 import time
 
@@ -53,10 +57,8 @@ def value_hash(df: pd.DataFrame) -> str:
     return h.hexdigest()
 
 
-def main():
-    sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
-    only = set(sys.argv[2:])
-    sys.path.insert(0, "/root/repo")
+def main(sf_dir: str, only: set[str]):
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as entry_mod
 
     qs = entry_mod.queries()
@@ -98,13 +100,18 @@ def main():
 
 
 if __name__ == "__main__":
+    ap = argparse.ArgumentParser(description="Check registry queries against their DuckDB twins.")
+    ap.add_argument("--num-cpus", type=int, default=8, help="CPUs of the local Ray cluster")
+    ap.add_argument("sf_dir", nargs="?", default="/root/testdata/sf0.01")
+    ap.add_argument("queries", nargs="*", help="only these queries (default: all)")
+    args = ap.parse_args()
     import ray
 
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=8, include_dashboard=False, logging_level="ERROR")
+        ray.init(address="local", num_cpus=args.num_cpus, include_dashboard=False, logging_level="ERROR")
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
-    code = main()
+    code = main(args.sf_dir, set(args.queries))
     ray.shutdown()
     sys.exit(code)
