@@ -45,9 +45,12 @@ def list_column_matrix(col, dtype=np.float64) -> np.ndarray:
 
 def sorted_lookup(sorted_keys: np.ndarray, values: np.ndarray):
     '''(idx, found) for probing `values` against a SORTED key array --
-    the broadcast-membership primitive shared by the semi/anti joins,
-    the broadcast hash join, and apply_dedup. Safe on an empty key set
-    (found is all-False).'''
+    the key-membership primitive shared by the semi/anti joins,
+    q_broadcast_join, the in-bucket header probe and apply_dedup.
+    `idx` is meaningful only where `found`; a caller that reads
+    `values[idx]` unmasked attaches a neighbour's row. Dimension
+    columns attach through partition.broadcast_join instead. Safe on
+    an empty key set (found is all-False).'''
     if len(sorted_keys) == 0:
         return np.zeros(len(values), dtype=np.int64), np.zeros(len(values), dtype=bool)
     idx = np.clip(np.searchsorted(sorted_keys, values), 0, len(sorted_keys) - 1)

@@ -17,9 +17,12 @@ Two codec tiers:
   double for plumbing tests.
 
 Contract: a multimodal table carries `(item_id:string, payload:binary,
-media_type:string, meta:string-json)`. Decode stages are actor pools
-(model load once per actor) over small batches (payloads are wide —
-batch_size must be set from payload size, not row count).
+media_type:string, meta:string-json)`. Decode stages are callable
+classes over small batches (payloads are wide — batch_size must be
+set from payload size, not row count). The pipelines here pass an
+instance to map_batches, so each stage runs as a task function; a
+stage with a costly constructor (a model load) would go to an actor
+pool as the class.
 """
 
 from __future__ import annotations
@@ -357,7 +360,7 @@ def synthetic_ppm_table(n_rows: int, seed: int = 42, w: int = 32, h: int = 24) -
 
 
 class ImageDecode:
-    """Actor-pool stage: binary payload -> decoded feature vector.
+    """Map stage: binary payload -> decoded feature vector.
 
     Real mode decodes PPM/BMP payloads with the pure-numpy codecs above
     and emits a 16-bin luminance histogram; unsupported formats raise
@@ -394,7 +397,7 @@ class ImageDecode:
 
 
 class ImageResize:
-    """Actor-pool stage: resize the image payload.
+    """Map stage: resize the image payload.
 
     Real mode decodes PPM/BMP with the numpy codecs, nearest-neighbor
     resizes, and re-encodes as PPM (meta w/h updated from the ACTUAL
@@ -453,10 +456,10 @@ class ImageResize:
 
 
 class AudioFrameSample:
-    """Actor-pool stage: sample N fixed-stride frames from an audio payload.
+    """Map stage: sample N fixed-stride frames from an audio payload.
 
     Stubbed the same way: deterministic byte-stride sampling stands in
-    for a real codec; the schema/actor/batch plumbing is the real part.
+    for a real codec; the schema/stage/batch plumbing is the real part.
     """
 
     def __init__(self, n_frames: int = 4, frame_bytes: int = 256):
@@ -488,26 +491,26 @@ def decode_pipeline(
 ):
     """[resize ->] image-decode + audio-frame-sample over a media dataset.
 
-    batch_size is small on purpose: payload bytes x batch x concurrency
-    must fit each actor's heap (wide-row rule). `resize_scale` inserts
-    the ImageResize actor stage ahead of the decode (payload shrink
-    before feature extraction)."""
+    Each stage is a task function capped at `concurrency` tasks at once:
+    as chained actor pools they held every CPU of a one-CPU cluster
+    and never finished. batch_size is small on purpose: payload bytes
+    x batch x concurrency must fit the workers' heap (wide-row rule).
+    `resize_scale` inserts the ImageResize stage ahead of the decode
+    (payload shrink before feature extraction)."""
     if resize_scale is not None:
         ds = ds.map_batches(
-            ImageResize,
-            fn_constructor_kwargs={"scale": resize_scale, "fake": fake},
+            ImageResize(scale=resize_scale, fake=fake),
             batch_format="pyarrow",
             batch_size=batch_size,
             concurrency=concurrency,
         )
     return ds.map_batches(
-        ImageDecode,
-        fn_constructor_args=(fake,),
+        ImageDecode(fake=fake),
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,
     ).map_batches(
-        AudioFrameSample,
+        AudioFrameSample(),
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,
@@ -586,7 +589,7 @@ def synthetic_wav_table(n_rows: int, seed: int = 42, sr: int = 8000, n_samples: 
 
 
 class AudioDecode:
-    """Actor-pool stage: REAL WAV decode -> per-item acoustic features
+    """Map stage: REAL WAV decode -> per-item acoustic features
     (duration, normalized RMS, zero-crossing rate, per-frame RMS).
     Same wide-row rule as images: batch_size from payload size."""
 
@@ -658,7 +661,7 @@ def phash64_batch(payloads: list[bytes]) -> np.ndarray:
 
 
 class AudioSpectral:
-    """Actor-pool stage: REAL spectral features via numpy's FFT —
+    """Map stage: REAL spectral features via numpy's FFT —
     per-item spectral centroid/rolloff (Hz) and log energy in four
     octave-ish bands, from the Hann-windowed magnitude spectrum of
     framed audio. The whole batch's frames go through ONE vectorized
@@ -932,7 +935,7 @@ def synthetic_mjpeg_table(
 
 
 class VideoFrameSample:
-    """Actor-pool stage: decode video (dispatch on payload magic — Y4M
+    """Map stage: decode video (dispatch on payload magic — Y4M
     uncompressed or MJPEG-AVI via the pure-numpy JPEG codec), sample
     every `stride`-th frame, emit per-item clip stats + per-sampled-
     frame luma means. Stateful setup (none needed here, but the class

@@ -350,14 +350,23 @@ def broadcast_join(
     suffix: str = "_r",
     left_schema: pa.Schema | None = None,
 ):
-    """Small-side broadcast equi-join: the RIGHT side is collected as
+    """Small-side broadcast equi-join, the one way a plan attaches
+    dimension columns (customer, supplier, part, or a computed
+    per-key table) to a fact stream: the RIGHT side is collected as
     one Arrow table, shipped ONCE via ray.put, and every left batch
     joins against it locally with pyarrow's C++ hash join — zero
-    shuffle of the left stream. The right side must fit in the object
-    store (the caller's contract; auto_join enforces a row bound).
-    `join_type` "inner" or "left outer". Output layout matches
-    shuffle_hash_join: [left_on, left payload..., right payload...],
-    right collisions suffixed, right key dropped."""
+    shuffle of the left stream. A left key with no right row drops
+    ("inner", the SQL join) or keeps nulls ("left outer"); it never
+    picks up a neighbour's value. The right side must fit in the
+    object store (the caller's contract; auto_join enforces a row
+    bound). Output layout matches shuffle_hash_join: [left_on, left
+    payload..., right payload...], right collisions suffixed, right
+    key dropped.
+
+    Only the left side's column names are needed up front. A read
+    knows them from file metadata; on a map lineage (an earlier
+    join's output) `left.schema()` runs the whole pipeline once, so
+    join on the read side or pass `left_schema`."""
     import ray
 
     from .temporal import _as_arrow_schema as _aas

@@ -153,9 +153,11 @@ def test_fused_exchange_with_both_sides_empty():
 
 
 def test_relational_queries_do_not_inline_the_fold_or_the_header_probe():
-    # the grouped fold lives in bucket_fold and the in-bucket header
-    # probe in sorted_lookup; hand-inlined copies drift (a max started
-    # at 0, a probe with no hit check)
+    # the grouped fold lives in bucket_fold, the in-bucket header
+    # probe in sorted_lookup and the dimension attach in
+    # broadcast_join; hand-inlined copies drift (a max started at 0, a
+    # probe with no hit check), and a fractional-CPU actor pool starves
+    # a one-CPU cluster
     import inspect
     import re
 
@@ -164,3 +166,5 @@ def test_relational_queries_do_not_inline_the_fold_or_the_header_probe():
     src = inspect.getsource(relational)
     assert not re.findall(r"np\.(?:add|minimum|maximum)\.at\(", src)
     assert "# FK: header" not in src
+    assert "num_cpus=0.5" not in src
+    assert not re.findall(r"ObjectRef\)\s*\\?\s*else", src)

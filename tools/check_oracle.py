@@ -1,6 +1,7 @@
 """Local replica of the driver's correctness gate: run every queries()
 entry at a given sf and compare against oracle_sql() via DuckDB
-(row count + schema + order-insensitive value hash).
+(row count + schema + order-insensitive value hash). Each query's
+result line prints as soon as that query finishes.
 
 Usage: python tools/check_oracle.py [--num-cpus N] [sf_dir] [query ...]
 
@@ -67,6 +68,7 @@ def main(sf_dir: str, only: set[str]):
     for t in TABLES:
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')")
 
+    width = max((len(n) for n in qs if not only or n in only), default=0)
     results = {}
     for name, fn in qs.items():
         if only and name not in only:
@@ -91,9 +93,8 @@ def main(sf_dir: str, only: set[str]):
                 results[name] = ("ROWS_ONLY", len(got), None, round(took, 1))
         except Exception as e:  # noqa: BLE001
             results[name] = ("ERROR", str(e)[:140], None, round(time.time() - t0, 1))
-    width = max(len(n) for n in results)
-    for name, r in results.items():
-        print(f"{name:<{width}}  {r}")
+        # one line per query as it finishes, so a hang names its query
+        print(f"{name:<{width}}  {results[name]}", flush=True)
     bad = [n for n, r in results.items() if r[0] not in ("OK", "ROWS_ONLY")]
     print(f"\n{len(results) - len(bad)}/{len(results)} clean; failing: {bad}")
     return 1 if bad else 0
