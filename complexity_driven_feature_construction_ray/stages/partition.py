@@ -136,24 +136,18 @@ def shuffle_hash_join(
     Column names: right columns colliding with a left column get
     `suffix`; the right key column is dropped (equi-join, same values).
     """
-    import pandas as pd
-
     from .bucketing import default_buckets
+    from .temporal import _as_arrow_schema, fused_exchange
 
     right_on = right_on or left_on
     B = num_buckets or default_buckets(left, right)
 
-    # metadata-known schemas when available (read_parquet lineages);
-    # .schema() on a lazy map lineage EXECUTES a limit-1 pass which,
-    # behind a repartition, is a full scan — only fall back to it
     # a caller-supplied schema skips the fetch: .schema() on a lazy
     # map/aggregate lineage EXECUTES the upstream plan once just to
     # see names, then the probe executes it AGAIN (measured 2x on
     # aggregate-fed joins)
     _ls = left_schema or left.schema(fetch_if_missing=False) or left.schema()
     _rs = right_schema or right.schema(fetch_if_missing=False) or right.schema()
-    from .temporal import _as_arrow_schema
-
     left_schema = _as_arrow_schema(_ls)
     right_schema = _as_arrow_schema(_rs)
     left_names = list(left_schema.names)
@@ -162,59 +156,42 @@ def shuffle_hash_join(
         n: (n + suffix if n in left_names else n) for n in right_payload
     }
     out_right = [rename_right[n] for n in right_payload]
-
-    def _hash_mod(arr) -> pa.Array:
-        h = pd.util.hash_array(
-            arr.to_numpy(zero_copy_only=False), hash_key="0123456789123456"
-        )
-        return pa.array((h % np.uint64(B)).astype(np.int32))
-
-    # Pad each side to the shared (key + left payload + right payload)
-    # schema with typed nulls, tag it, and union: one stream, one
-    # groupby shuffle. The pad columns are all-null Arrow arrays —
-    # O(1) validity bitmaps, not materialized values.
-    def tag_left(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        cols = {"__k": batch[left_on].cast(left_schema.field(left_on).type)}
-        for name in left_names:
-            if name != left_on:
-                cols[name] = batch[name]
-        for rn in right_payload:
-            cols[rename_right[rn]] = pa.nulls(n, type=right_schema.field(rn).type)
-        cols["__side"] = pa.array(np.zeros(n, dtype=np.int8))
-        cols["__b"] = _hash_mod(batch[left_on])
-        return pa.table(cols)
-
-    def tag_right(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        cols = {"__k": batch[right_on].cast(left_schema.field(left_on).type)}
-        for name in left_names:
-            if name != left_on:
-                cols[name] = pa.nulls(n, type=left_schema.field(name).type)
-        for rn in right_payload:
-            cols[rename_right[rn]] = batch[rn]
-        cols["__side"] = pa.array(np.ones(n, dtype=np.int8))
-        cols["__b"] = _hash_mod(batch[right_on])
-        return pa.table(cols)
-
-    both = left.map_batches(tag_left, batch_format="pyarrow").union(
-        right.map_batches(tag_right, batch_format="pyarrow")
-    )
-
     left_out = [n for n in left_names if n != left_on]
 
-    def join_bucket(group: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
+    # Pad each side to the shared (key + left payload + right payload)
+    # schema with typed nulls: fused_exchange unions the two streams.
+    # The pad columns are all-null Arrow arrays — O(1) validity
+    # bitmaps, not materialized values.
+    def pad_left(batch: pa.Table) -> pa.Table:
+        n = len(batch)
+        cols = {"__k": batch[left_on].cast(left_schema.field(left_on).type)}
+        for name in left_out:
+            cols[name] = batch[name]
+        for rn in right_payload:
+            cols[rename_right[rn]] = pa.nulls(n, type=right_schema.field(rn).type)
+        return pa.table(cols)
 
-        side = group["__side"]
-        lt = group.filter(pc.equal(side, 0)).select(["__k", *left_out])
-        rt = group.filter(pc.equal(side, 1)).select(["__k", *out_right])
-        out = lt.join(rt, keys="__k", join_type=join_type)
+    def pad_right(batch: pa.Table) -> pa.Table:
+        n = len(batch)
+        cols = {"__k": batch[right_on].cast(left_schema.field(left_on).type)}
+        for name in left_out:
+            cols[name] = pa.nulls(n, type=left_schema.field(name).type)
+        for rn in right_payload:
+            cols[rename_right[rn]] = batch[rn]
+        return pa.table(cols)
+
+    def join_bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        out = lt.select(["__k", *left_out]).join(
+            rt.select(["__k", *out_right]), keys="__k", join_type=join_type)
         # pyarrow join may reorder columns; pin the output layout
         out = out.select(["__k", *left_out, *out_right])
         return out.rename_columns([left_on, *left_out, *out_right])
 
-    return both.groupby("__b").map_groups(join_bucket, batch_format="pyarrow")
+    return fused_exchange(
+        left.map_batches(pad_left, batch_format="pyarrow"),
+        right.map_batches(pad_right, batch_format="pyarrow"),
+        "__k", join_bucket, num_buckets=B,
+    )
 
 
 def skew_join(
@@ -259,7 +236,7 @@ def skew_join(
         import pandas as pd
 
         vc = pd.Series(batch[left_on].to_numpy(zero_copy_only=False)).value_counts()
-        return pa.table({"__k": pa.array(vc.index.to_numpy()),
+        return pa.table({"k": pa.array(vc.index.to_numpy()),
                          "c": pa.array(vc.to_numpy(np.int64))})
 
     from ray.data.aggregate import Sum
@@ -267,11 +244,11 @@ def skew_join(
     counts = (
         left.select_columns([left_on])
         .map_batches(key_counts, batch_format="pyarrow")
-        .groupby("__k")
+        .groupby("k")
         .aggregate(Sum("c", alias_name="c"))
     )
     hot = counts.filter(expr=f"c > {int(hot_threshold)}").to_pandas()
-    hot_keys = np.sort(hot["__k"].to_numpy())
+    hot_keys = np.sort(hot["k"].to_numpy())
 
     if len(hot_keys) == 0:
         return shuffle_hash_join(
@@ -465,35 +442,16 @@ def distinct_set_op(left, right, *, on: list[str], op: str, num_buckets: int | N
     answer. Bucket count is data-sized via `default_buckets` on the
     larger side.
     """
-    import pandas as pd
-
     from .bucketing import default_buckets
+    from .temporal import fused_exchange
 
     if op not in ("intersect", "except"):
         raise ValueError(f"op must be 'intersect' or 'except', got {op!r}")
     B = num_buckets or max(default_buckets(left), default_buckets(right))
 
-    def tag(side: int):
-        def _tag(batch: pa.Table) -> pa.Table:
-            batch = batch.select(on)
-            h = np.zeros(batch.num_rows, dtype=np.uint64)
-            for c in on:
-                h ^= pd.util.hash_array(
-                    batch[c].to_numpy(zero_copy_only=False)
-                ).astype(np.uint64)
-            return batch.append_column(
-                "__b", pa.array((h % np.uint64(B)).astype(np.int32))
-            ).append_column("__side", pa.array(np.full(batch.num_rows, side, np.int8)))
-
-        return _tag
-
-    both = left.map_batches(tag(0), batch_format="pyarrow").union(
-        right.map_batches(tag(1), batch_format="pyarrow")
-    )
-
-    def resolve(g: pd.DataFrame) -> pd.DataFrame:
-        l = g.loc[g["__side"] == 0, on].drop_duplicates()
-        r = g.loc[g["__side"] == 1, on].drop_duplicates()
+    def resolve(lt: pa.Table, rt: pa.Table):
+        l = lt.to_pandas().drop_duplicates()
+        r = rt.to_pandas().drop_duplicates()
         if op == "intersect":
             out = l.merge(r, on=on)
         else:
@@ -501,9 +459,8 @@ def distinct_set_op(left, right, *, on: list[str], op: str, num_buckets: int | N
             out = out.loc[out["_merge"] == "left_only", on]
         return out.reset_index(drop=True)
 
-    return both.groupby("__b").map_groups(
-        lambda g: resolve(g.drop(columns=["__b"])), batch_format="pandas"
-    )
+    return fused_exchange(left.select_columns(on), right.select_columns(on), on,
+                          resolve, num_buckets=B)
 
 
 def zorder_key(ds, cols: list[str], *, bits: int = 8, out_col: str = "z"):
@@ -557,29 +514,15 @@ def snapshot_diff(old_ds, new_ds, *, key: str, val: str, num_buckets: int | None
     table), matching the SQL FULL OUTER JOIN the oracle replays."""
     from ray.data.aggregate import Sum
 
-    from .temporal import grouped_map
+    from .bucketing import default_buckets
+    from .temporal import fused_exchange
 
-    def tag(side: int):
-        def f(batch: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    key: batch[key],
-                    val: batch[val],
-                    "__side": pa.array(np.full(len(batch), side, dtype=np.int8)),
-                }
-            )
+    B = num_buckets or default_buckets(old_ds, new_ds)
 
-        return f
-
-    both = old_ds.map_batches(tag(0), batch_format="pyarrow").union(
-        new_ds.map_batches(tag(1), batch_format="pyarrow")
-    )
-
-    def per_bucket(df):
+    def per_bucket(old: pa.Table, new: pa.Table):
         import pandas as pd
 
-        a = df[df["__side"] == 0][[key, val]]
-        b = df[df["__side"] == 1][[key, val]]
+        a, b = old.to_pandas(), new.to_pandas()
         m = a.merge(b, on=key, how="outer", suffixes=("_a", "_b"), indicator=True)
         status = np.where(
             m["_merge"].to_numpy() == "left_only",
@@ -599,7 +542,8 @@ def snapshot_diff(old_ds, new_ds, *, key: str, val: str, num_buckets: int | None
             {"status": part.index.to_numpy(dtype=object), "n": part.to_numpy(np.int64)}
         )
 
-    parts = grouped_map(both, key, per_bucket, num_buckets=num_buckets)
+    parts = fused_exchange(old_ds.select_columns([key, val]), new_ds.select_columns([key, val]),
+                           key, per_bucket, num_buckets=B)
     return parts.groupby("status").aggregate(Sum("n", alias_name="n"))
 
 

@@ -5,13 +5,17 @@ SURVEY.md §2.7 "Streaming: none"), required by the north rule: attach
 each feature's latest non-leaking value at every entity×timestamp.
 
 Partitioning model: every entity is hashed to exactly one of B buckets
-(deterministic pandas hash, stable across processes — NOT Python's
-salted hash()), so no entity ever straddles a partition boundary; the
-groupby(bucket) shuffle co-locates probe and event rows, and each
-bucket is processed with a vectorized sorted-merge (pd.merge_asof — a
-per-key binary-search cursor over ts-sorted frames). Zero temporal
-leakage holds by construction: only events with event_ts <= probe_ts
-can be selected; tests verify row-by-row against a brute-force oracle.
+(`bucketing.bucket_of`, stable across processes — NOT Python's salted
+hash()), so no entity ever straddles a partition boundary. One input
+goes through `grouped_map`, two (probe and event rows) through
+`fused_exchange`; they are the only exchanges here. Inside a bucket
+every window is one sorted scan (`_sorted` + `_windows`: the
+(key, ts, tiebreak) sort, the same-entity mask, lag/lead and
+sessions), and the as-of attach is one cursor (`_asof_match`: a
+stable lexsort of probe and event rows by (key, ts) and a running
+max of the last event seen). Zero temporal leakage holds by
+construction: only events with event_ts <= probe_ts can be selected;
+tests verify row-by-row against a brute-force oracle.
 
 Skew note: buckets are uniform in entities; a single pathological
 entity bounds a bucket from below. B defaults to a DATA-SIZED count
@@ -26,18 +30,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from .bucketing import default_buckets
-
-_HASH_KEY = "0123456789123456"  # fixed pandas hash key => cross-process determinism
-
-
-def _bucket_of(values, num_buckets: int) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.dtype.kind in "iu":
-        return (arr % num_buckets).astype(np.int32)
-    h = pd.util.hash_array(arr.astype(object), hash_key=_HASH_KEY)
-    return (h % num_buckets).astype(np.int32)
+from .bucketing import bucket_of, default_buckets
 
 
 def _sort_order(t: pa.Table, cols: list[str]) -> np.ndarray:
@@ -52,8 +47,6 @@ def _shift_within(v: np.ndarray, same: np.ndarray, n: int):
     """v shifted by n (positive = lag) with nulls at group boundaries.
     `same[i]` says row i has the same group key as row i-1 (group-sorted
     input); works for any dtype via Arrow null masking."""
-    import pyarrow.compute as pc
-
     gid = np.cumsum(~same)
     m = len(v)
     idx = np.arange(m) - n
@@ -80,6 +73,127 @@ def _as_arrow_schema(schema) -> pa.Schema:
     return pa.schema(fields)
 
 
+def _timedelta(v) -> np.timedelta64:
+    """A gap or tolerance given as seconds or pd.Timedelta."""
+    return (v if isinstance(v, pd.Timedelta) else pd.Timedelta(seconds=v)).to_timedelta64()
+
+
+def _sorted(g: pa.Table, key: str, ts: str, tiebreak: list[str] | None):
+    """One bucket sorted by (key, ts, tiebreak), and `same`: same[i]
+    says row i has row i-1's key."""
+    out = g.take(pa.array(_sort_order(g, [key, ts, *(tiebreak or [])])))
+    k = out[key].to_numpy(zero_copy_only=False)
+    same = np.zeros(len(k), dtype=bool)
+    same[1:] = k[1:] == k[:-1]
+    return out, same
+
+
+def _seg_start(same: np.ndarray) -> np.ndarray:
+    """Index of the first row of each row's entity segment."""
+    return np.maximum.accumulate(np.where(same, 0, np.arange(len(same))))
+
+
+def _windows(out: pa.Table, same: np.ndarray, ts: str, lag_cols=None,
+             lags=(1,), leads=(1,), gap=None, session_col="session_idx") -> pa.Table:
+    """Append lag/lead of `lag_cols` (NULL across entities) and, with a
+    `gap`, the 0-based per-entity session index (a new session starts
+    when the time since the entity's previous row exceeds `gap`) to a
+    `_sorted` bucket."""
+    for c in lag_cols or []:
+        v = out[c].to_numpy(zero_copy_only=False)
+        for n in lags:
+            out = out.append_column(f"{c}_lag{n}", _shift_within(v, same, n))
+        for n in leads:
+            out = out.append_column(f"{c}_lead{n}", _shift_within(v, same, -n))
+    if gap is not None:
+        t = out[ts].to_numpy(zero_copy_only=False)
+        new_session = ~same
+        new_session[1:] |= (t[1:] - t[:-1]) > _timedelta(gap)
+        sid = np.cumsum(new_session)
+        out = out.append_column(session_col, pa.array(sid - sid[_seg_start(same)]))
+    return out
+
+
+def grouped_map(ds, key, fn, *, num_buckets: int | None = None, batch_format="pandas",
+                materialize_input: bool = False):
+    """Apply `fn` to hash-bucket partitions co-grouped by `key` (a
+    column, or a list of columns for a multi-column key).
+
+    For per-entity logic that is already vectorized across entities
+    (pandas groupby inside `fn`), this replaces groupby(key).map_groups
+    — which pays a Python call per DISTINCT KEY (10k users = 10k calls)
+    — with one call per bucket (one per CPU on small inputs). `fn` must
+    group by `key` itself; every row of a key lands in exactly one
+    bucket (`bucketing.bucket_of`).
+
+    materialize_input=True snapshots the bucket-tagged stream into the
+    object store BEFORE the groupby's sort exchange. Ray 2.49's
+    streaming planner degrades super-linearly when a Sort is chained
+    behind a deep map/union plan (measured 70–90s vs ~12s over the
+    same 2.6M rows in the dedup pair scan); use it when grouped_map
+    sits mid-superstep in an iterative pipeline whose per-step input
+    is bounded (labels/messages), NOT on corpus-sized one-shot streams
+    where holding a full copy in the object store is the real cost.
+    """
+    return _exchange([ds], key, fn, num_buckets or default_buckets(ds), batch_format,
+                     materialize_input)
+
+
+def fused_exchange(first, second, key, fn, *, num_buckets: int | None = None):
+    """Co-group two Datasets by `key` through ONE hash exchange and call
+    `fn(first_rows, second_rows)` once per bucket.
+
+    This is the tagged-union plan: each side's rows are tagged, the two
+    streams union, and one hash exchange puts every row of a
+    key -- a fact-side partial and its header alike -- in the same
+    bucket. A groupby on one side followed by a join to the other
+    pays two exchanges of the same key; this pays one.
+
+    `fn` gets two `pa.Table`s holding the bucket's rows of each side in
+    arrival order. Either may have 0 rows (a bucket of lines whose
+    headers were all filtered out, or headers with no lines), so a
+    header probe inside `fn` must check for a hit (`sorted_lookup`).
+    The tag never reaches `fn`. Both sides must carry one schema (pad
+    the other side's columns): Ray's union expects the same schema in
+    every block. `fn` returns what `map_groups` accepts; a callback
+    written for pandas calls `.to_pandas()` itself. `num_buckets`
+    defaults to `default_buckets(first, second)`, so a caller that
+    tags or pads its inputs first sizes B from the untagged inputs.
+    """
+    return _exchange([first, second], key, fn, num_buckets or default_buckets(first, second),
+                     "pyarrow")
+
+
+def _exchange(inputs, key, fn, B: int, batch_format, materialize_input=False):
+    """The hash-bucket exchange behind grouped_map (one input, `fn(rows)`)
+    and fused_exchange (two, `fn(first_rows, second_rows)`). Each input
+    tags its rows with their key's bucket (and, with two inputs, its
+    side) in its own map, before the union: a tag added after the union
+    would be one more task per block."""
+    cols = key if isinstance(key, (list, tuple)) else [key]
+    tags = ["__gm_bucket", "__fx_side"]
+
+    def tagger(side: int):
+        def tag(batch: pa.Table) -> pa.Table:
+            bucket = bucket_of([batch[c] for c in cols], B)
+            return batch.append_column("__gm_bucket", pa.array(bucket)).append_column(
+                "__fx_side", pa.array(np.full(batch.num_rows, side, np.int8)))
+        return tag
+
+    def run(g):
+        if len(inputs) == 1:
+            return fn(g.drop(columns=tags) if hasattr(g, "drop") else g.drop_columns(tags))
+        second_rows = pc.equal(g["__fx_side"], 1)
+        g = g.drop_columns(tags)
+        return fn(g.filter(pc.invert(second_rows)), g.filter(second_rows))
+
+    tagged = [ds.map_batches(tagger(i), batch_format="pyarrow") for i, ds in enumerate(inputs)]
+    both = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
+    if materialize_input:
+        both = both.materialize()
+    return both.groupby("__gm_bucket").map_groups(run, batch_format=batch_format)
+
+
 def row_number(
     ds,
     *,
@@ -92,30 +206,13 @@ def row_number(
     """Per-entity 1-based row number ordered by (ts, tiebreak) — the
     ROW_NUMBER() OVER (PARTITION BY key ORDER BY ts) window. One
     entity-hash shuffle, vectorized cumcount per bucket."""
-    B = num_buckets or default_buckets(ds)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket", pa.array(_bucket_of(batch[key].to_numpy(zero_copy_only=False), B))
-        )
 
     def rank_bucket(g: pa.Table) -> pa.Table:
-        order = _sort_order(g, [key, ts, *(tiebreak or [])])
-        out = g.take(pa.array(order)).drop_columns(["__bucket"])
-        k = g[key].to_numpy(zero_copy_only=False)[order]
-        m = len(k)
-        new_entity = np.empty(m, dtype=bool)
-        new_entity[0] = True
-        new_entity[1:] = k[1:] != k[:-1]
-        idx = np.arange(m)
-        start = np.maximum.accumulate(np.where(new_entity, idx, 0))
-        return out.append_column(out_col, pa.array((idx - start + 1).astype(np.int64)))
+        out, same = _sorted(g, key, ts, tiebreak)
+        rn = np.arange(len(same)) - _seg_start(same) + 1
+        return out.append_column(out_col, pa.array(rn.astype(np.int64)))
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(rank_bucket, batch_format="pyarrow")
-    )
+    return grouped_map(ds, key, rank_bucket, num_buckets=num_buckets, batch_format="pyarrow")
 
 
 def window_rank(
@@ -135,28 +232,15 @@ def window_rank(
     row number, so percent_rank = (rn-1)/(cnt-1) and cume_dist =
     rn/cnt exactly match SQL; NTILE uses the SQL split (first cnt%n
     tiles get ceil(cnt/n) rows)."""
-    B = num_buckets or default_buckets(ds)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket", pa.array(_bucket_of(batch[key].to_numpy(zero_copy_only=False), B))
-        )
 
     def rank_bucket(g: pa.Table) -> pa.Table:
-        order = _sort_order(g, [key, ts, *(tiebreak or [])])
-        out = g.take(pa.array(order)).drop_columns(["__bucket"])
-        k = g[key].to_numpy(zero_copy_only=False)[order]
-        m = len(k)
-        new_entity = np.empty(m, dtype=bool)
-        new_entity[0] = True
-        new_entity[1:] = k[1:] != k[:-1]
-        idx = np.arange(m)
-        start = np.maximum.accumulate(np.where(new_entity, idx, 0))
+        out, same = _sorted(g, key, ts, tiebreak)
+        m = len(same)
         # segment length broadcast to every row: next segment start - start
-        seg_starts = np.flatnonzero(new_entity)
-        seg_ends = np.append(seg_starts[1:], m)
-        cnt = np.repeat(seg_ends - seg_starts, seg_ends - seg_starts)
-        rn0 = idx - start  # 0-based row number within entity
+        seg_starts = np.flatnonzero(~same)
+        seg_len = np.diff(np.append(seg_starts, m))
+        cnt = np.repeat(seg_len, seg_len)
+        rn0 = np.arange(m) - _seg_start(same)  # 0-based row number within entity
         if "ntile" in cols:
             n = ntile or 4
             q, r = cnt // n, cnt % n
@@ -178,11 +262,7 @@ def window_rank(
             )
         return out
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(rank_bucket, batch_format="pyarrow")
-    )
+    return grouped_map(ds, key, rank_bucket, num_buckets=num_buckets, batch_format="pyarrow")
 
 
 def rolling_agg(
@@ -213,19 +293,11 @@ def rolling_agg(
       binary search for ts_i - range per entity segment; `window` is
       ignored. SQL RANGE frame semantics: all peers of the current
       row's ts are in the frame, including rows after it in order."""
-    B = num_buckets or default_buckets(ds)
     out_col = out_col or f"{col}_roll{agg}{window}"
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket", pa.array(_bucket_of(batch[key].to_numpy(zero_copy_only=False), B))
-        )
-
     def roll_bucket(g: pa.Table) -> pa.Table:
-        order = _sort_order(g, [key, ts, *(tiebreak or [])])
-        out = g.take(pa.array(order)).drop_columns(["__bucket"])
-        k = g[key].to_numpy(zero_copy_only=False)[order]
-        v = g[col].to_numpy(zero_copy_only=False)[order].astype(np.float64)
+        out, same = _sorted(g, key, ts, tiebreak)
+        v = out[col].to_numpy(zero_copy_only=False).astype(np.float64)
         m = len(v)
         # SQL window semantics under NULLs: a NULL (NaN after astype)
         # contributes nothing — zero-fill before the prefix sum and keep
@@ -233,11 +305,7 @@ def rolling_agg(
         # non-nulls, sum/mean over an all-NULL window are NULL.
         ok = ~np.isnan(v)
         vz = np.where(ok, v, 0.0)
-        # group starts (sorted by key => contiguous)
-        is_start = np.empty(m, dtype=bool)
-        is_start[0] = True
-        is_start[1:] = k[1:] != k[:-1]
-        start_of = np.maximum.accumulate(np.where(is_start, np.arange(m), -1))
+        start_of = _seg_start(same)
         hi = np.arange(m) + 1
         if expanding:
             lo = start_of
@@ -246,17 +314,16 @@ def rolling_agg(
         else:
             # trailing time window: within each entity segment (ts is
             # sorted there) the frame start is searchsorted(ts, ts_i - w).
-            # One numpy searchsorted per segment — the same per-key-segment
-            # cursor shape as the as-of attach; exact int64-ns arithmetic.
+            # One numpy searchsorted per segment; exact int64-ns arithmetic.
             t_ns = (
-                g[ts].to_numpy(zero_copy_only=False)[order]
+                out[ts].to_numpy(zero_copy_only=False)
                 .astype("datetime64[ns]")
                 .view(np.int64)
             )
             w_ns = np.int64(round(range_seconds * 1e9))
             lo = np.empty(m, dtype=np.int64)
             hi = np.empty(m, dtype=np.int64)
-            seg_starts = np.flatnonzero(is_start)
+            seg_starts = np.flatnonzero(~same)
             seg_ends = np.append(seg_starts[1:], m)
             for s0, s1 in zip(seg_starts, seg_ends):
                 lo[s0:s1] = s0 + np.searchsorted(
@@ -280,87 +347,112 @@ def rolling_agg(
             raise ValueError(f"unsupported rolling agg {agg}")
         return out.append_column(out_col, pa.array(pd.Series(res), from_pandas=True))
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(roll_bucket, batch_format="pyarrow")
+    return grouped_map(ds, key, roll_bucket, num_buckets=num_buckets, batch_format="pyarrow")
+
+
+def _asof_match(pk, pt, ek, et, *, forward: bool, allow_exact: bool, tol=None) -> np.ndarray:
+    """Event row each probe row attaches, -1 for none: among events with
+    the probe's key, the last with et <= pt (the first with et >= pt
+    when `forward`; strict when not `allow_exact`), at most `tol` away.
+    Equal-ts events resolve to the last (first when `forward`) in
+    arrival order, as pd.merge_asof does. The cursor is one stable
+    lexsort of both sides by (key, ts), with an event placed before a
+    probe of the same (key, ts) when it may attach to it, and a running
+    max (min, scanning back) of the last event position seen. Null keys
+    never match."""
+    ne, n = len(ek), len(ek) + len(pk)
+    hit = np.full(len(pk), -1, dtype=np.int64)
+    if ne == 0 or n == ne:
+        return hit
+    codes = pd.factorize(np.concatenate([ek, pk]))[0]
+    ev_first = allow_exact != forward
+    side = np.repeat([not ev_first, ev_first], [ne, n - ne])
+    order = np.lexsort((side, np.concatenate([et, pt]), codes))
+    is_ev = order < ne
+    pos = np.arange(n)
+    if forward:
+        seen = np.minimum.accumulate(np.where(is_ev, pos, n)[::-1])[::-1]
+    else:
+        seen = np.maximum.accumulate(np.where(is_ev, pos, -1))
+    probe, at = order[~is_ev], seen[~is_ev]
+    src = order[np.clip(at, 0, n - 1)]
+    ok = (at >= 0) & (at < n) & (codes[src] == codes[probe]) & (codes[probe] >= 0)
+    hit[probe - ne] = np.where(ok, src, -1)
+    if tol is not None:
+        m = hit >= 0
+        hit[m] = np.where(np.abs(pt[m] - et[hit[m]]) <= tol, hit[m], -1)
+    return hit
+
+
+def _asof_rows(pk, pt, ek, et, *, direction: str, allow_exact: bool, tol=None) -> np.ndarray:
+    """`_asof_match` backward, or for direction="nearest" the event
+    minimizing |et - pt|: forward wins only when strictly closer, so
+    equidistant events resolve to the EARLIER one."""
+    back = _asof_match(pk, pt, ek, et, forward=False, allow_exact=allow_exact, tol=tol)
+    if direction != "nearest":
+        return back
+    fwd = _asof_match(pk, pt, ek, et, forward=True, allow_exact=allow_exact, tol=tol)
+    both = (back >= 0) & (fwd >= 0)
+    closer = np.zeros(len(pk), dtype=bool)
+    closer[both] = (et[fwd[both]] - pt[both]) < (pt[both] - et[back[both]])
+    return np.where((fwd >= 0) & ((back < 0) | closer), fwd, back)
+
+
+def _attach(probe_ds, event_ds, *, key, probe_ts, event_ts, value_cols, event_key,
+            num_buckets, allow_exact, tolerance, probe_schema, event_schema,
+            direction="backward", tiebreak=None, lag_cols=None, lags=(1,),
+            leads=(1,), gap=None, session_col="session_idx"):
+    """The as-of attach behind asof_join and temporal_attach: probe and
+    event rows meet in one `fused_exchange` by entity, and each bucket
+    is one `_sorted` probe scan, the `_asof_rows` cursor, then the
+    `_windows` columns."""
+    event_key = event_key or key
+    B = num_buckets or default_buckets(probe_ds, event_ds)
+    if probe_schema is None:
+        probe_schema = probe_ds.schema(fetch_if_missing=False) or probe_ds.schema()
+    probe_schema = _as_arrow_schema(probe_schema)
+    probe_types = dict(zip(probe_schema.names, probe_schema.types))
+    if event_schema is None:
+        event_schema = event_ds.schema(fetch_if_missing=False) or event_ds.schema()
+    event_schema = _as_arrow_schema(event_schema)
+    event_types = dict(zip(event_schema.names, event_schema.types))
+    ev_cols = {f"__ev_{c}": c for c in value_cols}
+    # both sides carry the probe columns plus one __ev_ column per value;
+    # event rows fill key and probe_ts, probe rows leave __ev_ null
+    shared = pa.schema([*probe_schema, *(pa.field(e, event_types[c]) for e, c in ev_cols.items())])
+    tol = None if tolerance is None else _timedelta(tolerance)
+
+    def pad(cols: dict, n: int) -> pa.Table:
+        return pa.table({f.name: cols[f.name] if f.name in cols else pa.nulls(n, type=f.type)
+                         for f in shared})
+
+    def tag_probe(batch: pa.Table) -> pa.Table:
+        return pad({c: batch[c] for c in probe_schema.names}, batch.num_rows)
+
+    def tag_event(batch: pa.Table) -> pa.Table:
+        cols = {e: batch[c] for e, c in ev_cols.items()}
+        cols[key] = batch[event_key].cast(probe_types[key])
+        cols[probe_ts] = batch[event_ts].cast(probe_types[probe_ts])
+        return pad(cols, batch.num_rows)
+
+    def scan_bucket(probes: pa.Table, events: pa.Table) -> pa.Table:
+        out, same = _sorted(probes.drop_columns(list(ev_cols)), key, probe_ts, tiebreak)
+        hit = _asof_rows(out[key].to_numpy(zero_copy_only=False),
+                         out[probe_ts].to_numpy(zero_copy_only=False),
+                         events[key].to_numpy(zero_copy_only=False),
+                         events[probe_ts].to_numpy(zero_copy_only=False),
+                         direction=direction, allow_exact=allow_exact, tol=tol)
+        miss = hit < 0
+        idx = pa.array(np.where(miss, 0, hit), mask=miss)
+        for e, c in ev_cols.items():
+            out = out.append_column(f"asof_{c}", events[e].take(idx).cast(event_types[c]))
+        return _windows(out, same, probe_ts, lag_cols, lags, leads, gap, session_col)
+
+    return fused_exchange(
+        probe_ds.map_batches(tag_probe, batch_format="pyarrow"),
+        event_ds.map_batches(tag_event, batch_format="pyarrow"),
+        key, scan_bucket, num_buckets=B,
     )
-
-
-def grouped_map(ds, key: str, fn, *, num_buckets: int | None = None, batch_format="pandas",
-                materialize_input: bool = False):
-    """Apply `fn` to hash-bucket partitions co-grouped by `key`.
-
-    For per-entity logic that is already vectorized across entities
-    (pandas groupby inside `fn`), this replaces groupby(key).map_groups
-    — which pays a Python call per DISTINCT KEY (10k users = 10k calls)
-    — with one call per bucket (one per CPU on small inputs). `fn` must
-    group by `key` itself; every row of a key lands in exactly one bucket.
-
-    materialize_input=True snapshots the bucket-tagged stream into the
-    object store BEFORE the groupby's sort exchange. Ray 2.49's
-    streaming planner degrades super-linearly when a Sort is chained
-    behind a deep map/union plan (measured 70–90s vs ~12s over the
-    same 2.6M rows in the dedup pair scan); use it when grouped_map
-    sits mid-superstep in an iterative pipeline whose per-step input
-    is bounded (labels/messages), NOT on corpus-sized one-shot streams
-    where holding a full copy in the object store is the real cost.
-    """
-    B = num_buckets or default_buckets(ds)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__gm_bucket",
-            pa.array(_bucket_of(batch[key].to_numpy(zero_copy_only=False), B)),
-        )
-
-    def run(g):
-        g = g.drop(columns=["__gm_bucket"]) if hasattr(g, "drop") else g.drop_columns(["__gm_bucket"])
-        return fn(g)
-
-    tagged = ds.map_batches(add_bucket, batch_format="pyarrow")
-    if materialize_input:
-        tagged = tagged.materialize()
-    return tagged.groupby("__gm_bucket").map_groups(run, batch_format=batch_format)
-
-
-def fused_exchange(first, second, key: str, fn, *, num_buckets: int | None = None):
-    """Co-group two Datasets by `key` through ONE hash exchange and call
-    `fn(first_rows, second_rows)` once per bucket.
-
-    This is the tagged-union plan: each side's rows are tagged, the two
-    streams union, and one `grouped_map` exchange puts every row of a
-    key -- a fact-side partial and its header alike -- in the same
-    bucket. A groupby on one side followed by a join to the other
-    pays two exchanges of the same key; this pays one.
-
-    `fn` gets two `pa.Table`s holding the bucket's rows of each side in
-    arrival order. Either may have 0 rows (a bucket of lines whose
-    headers were all filtered out, or headers with no lines), so a
-    header probe inside `fn` must check for a hit (`sorted_lookup`).
-    The tag never reaches `fn`. Both sides must carry one schema (pad
-    the other side's columns): Ray's union expects the same schema in
-    every block. `fn` returns what `map_groups` accepts; a callback
-    written for pandas calls `.to_pandas()` itself. `num_buckets` is
-    passed through to `grouped_map`.
-    """
-    import pyarrow.compute as pc
-
-    def tagger(side: int):
-        def tag(batch: pa.Table) -> pa.Table:
-            return batch.append_column(
-                "__fx_side", pa.array(np.full(batch.num_rows, side, np.int8)))
-        return tag
-
-    def run(g: pa.Table):
-        second_rows = pc.equal(g["__fx_side"], 1)
-        g = g.drop_columns(["__fx_side"])
-        return fn(g.filter(pc.invert(second_rows)), g.filter(second_rows))
-
-    both = first.map_batches(tagger(0), batch_format="pyarrow").union(
-        second.map_batches(tagger(1), batch_format="pyarrow"))
-    return grouped_map(both, key, run, num_buckets=num_buckets,
-                       batch_format="pyarrow")
 
 
 def asof_join(
@@ -385,141 +477,27 @@ def asof_join(
     direction="nearest" instead attaches the event minimizing
     |event_ts - probe_ts| with a DETERMINISTIC tie rule: equidistant
     before/after resolves to the EARLIER event (backward wins), so the
-    result is engine-replayable — pandas' own merge_asof(nearest) tie
-    behavior is unspecified, so nearest is built from one backward and
-    one forward pass with an explicit per-row distance compare.
-    `tolerance` (seconds or pd.Timedelta) bounds staleness: events older
-    than probe_ts - tolerance attach as NULL (the feature-store max-age
-    rule).
+    result is engine-replayable — a backward and a forward cursor with
+    an explicit per-row distance compare. `tolerance` (seconds or
+    pd.Timedelta) bounds staleness: events older than
+    probe_ts - tolerance (for nearest, further than tolerance either
+    way) attach as NULL (the feature-store max-age rule).
 
-    Implementation: tag + union both sides, hash-bucket by entity,
-    groupby(bucket), per-bucket ts-sorted pd.merge_asof (sorted-merge
-    with a binary-search cursor per key).
+    Implementation: temporal_attach's exchange and cursor with no
+    window columns — probe and event rows co-grouped by entity in one
+    `fused_exchange`, then per bucket one lexsort cursor over both
+    sides (`_asof_match`).
 
     Pass `probe_schema` / `event_schema` when that side is a lazy
     map_batches lineage: ds.schema() on such a dataset EXECUTES the
     upstream pipeline to discover the schema (a full extra pass).
     """
-    event_key = event_key or key
-    B = num_buckets or default_buckets(probe_ds, event_ds)
-    if probe_schema is None:
-        probe_schema = probe_ds.schema(fetch_if_missing=False) or probe_ds.schema()
-    probe_schema = _as_arrow_schema(probe_schema)
-    probe_cols = probe_schema.names
-    probe_types = dict(zip(probe_schema.names, probe_schema.types))
-    if event_schema is None:
-        event_schema = event_ds.schema(fetch_if_missing=False) or event_ds.schema()
-    event_schema = _as_arrow_schema(event_schema)
-    event_types = dict(zip(event_schema.names, event_schema.types))
-    out_event_cols = [f"asof_{c}" for c in value_cols]
-
-    def tag_probe(batch: pa.Table) -> pa.Table:
-        t = batch.append_column("__bucket", pa.array(_bucket_of(batch[key].to_numpy(zero_copy_only=False), B)))
-        t = t.append_column("__side", pa.array(np.zeros(len(batch), dtype=np.int8)))
-        t = t.append_column("__ts", batch[probe_ts])
-        for c in value_cols:
-            t = t.append_column(f"__ev_{c}", pa.nulls(len(batch), type=event_types[c]))
-        return t
-
-    def tag_event(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        cols = {
-            "__bucket": pa.array(_bucket_of(batch[event_key].to_numpy(zero_copy_only=False), B)),
-            "__side": pa.array(np.ones(n, dtype=np.int8)),
-            "__ts": batch[event_ts].cast(probe_types[probe_ts]),
-            key: batch[event_key].cast(probe_types[key]),
-        }
-        t = pa.table(cols)
-        for c in probe_cols:
-            if c not in t.column_names:
-                t = t.append_column(c, pa.nulls(n, type=probe_types[c]))
-        for c in value_cols:
-            t = t.append_column(f"__ev_{c}", batch[c])
-        return t.select([*probe_cols, "__bucket", "__side", "__ts", *[f"__ev_{c}" for c in value_cols]])
-
-    tagged_probe = probe_ds.map_batches(tag_probe, batch_format="pyarrow").select_columns(
-        [*probe_cols, "__bucket", "__side", "__ts", *[f"__ev_{c}" for c in value_cols]]
+    return _attach(
+        probe_ds, event_ds, key=key, probe_ts=probe_ts, event_ts=event_ts,
+        value_cols=value_cols, event_key=event_key, num_buckets=num_buckets,
+        allow_exact=allow_exact, tolerance=tolerance, probe_schema=probe_schema,
+        event_schema=event_schema, direction=direction,
     )
-    tagged_event = event_ds.map_batches(tag_event, batch_format="pyarrow")
-    both = tagged_probe.union(tagged_event)
-
-    ev_cols = [f"__ev_{c}" for c in value_cols]
-
-    def merge_bucket(g: pa.Table) -> pa.Table:
-        # Arrow-native: the merge itself runs on small pandas frames of
-        # (key, ts, event values) only; wide payload columns (token
-        # lists, feature columns) are reordered with Table.take and
-        # never converted to Python objects.
-        side = g["__side"].to_numpy()
-        probe_idx = np.flatnonzero(side == 0)
-        event_idx = np.flatnonzero(side == 1)
-        ts = g["__ts"].to_numpy(zero_copy_only=False)
-        keys_np = g[key].to_numpy(zero_copy_only=False)
-
-        order = probe_idx[np.argsort(ts[probe_idx], kind="stable")]
-        out = g.take(pa.array(order)).drop_columns(
-            ["__bucket", "__side", "__ts", *ev_cols]
-        )
-        if len(event_idx) == 0:
-            for c, name in zip(value_cols, out_event_cols):
-                out = out.append_column(name, pa.nulls(len(out), type=event_types[c]))
-            return out
-
-        probe_small = pd.DataFrame({key: keys_np[order], "__ts": ts[order]})
-        ev_order = event_idx[np.argsort(ts[event_idx], kind="stable")]
-        right = pd.DataFrame({key: keys_np[ev_order], "__ts": ts[ev_order]})
-        for c in ev_cols:
-            right[c] = g[c].to_numpy(zero_copy_only=False)[ev_order]
-        tol = (
-            None
-            if tolerance is None
-            else (
-                pd.Timedelta(seconds=tolerance)
-                if not isinstance(tolerance, pd.Timedelta)
-                else tolerance
-            )
-        )
-        if direction == "nearest":
-            right = right.assign(__evts=right["__ts"].to_numpy())
-            back = pd.merge_asof(
-                probe_small, right, on="__ts", by=key,
-                direction="backward", allow_exact_matches=allow_exact,
-                tolerance=tol,
-            )
-            fwd = pd.merge_asof(
-                probe_small, right, on="__ts", by=key,
-                direction="forward", allow_exact_matches=allow_exact,
-                tolerance=tol,
-            )
-            p_ts = probe_small["__ts"].to_numpy()
-            d_back = (p_ts - back["__evts"].to_numpy()).astype("timedelta64[us]") \
-                if np.issubdtype(p_ts.dtype, np.datetime64) else p_ts - back["__evts"].to_numpy()
-            d_fwd = (fwd["__evts"].to_numpy() - p_ts).astype("timedelta64[us]") \
-                if np.issubdtype(p_ts.dtype, np.datetime64) else fwd["__evts"].to_numpy() - p_ts
-            has_b = back["__evts"].notna().to_numpy()
-            has_f = fwd["__evts"].notna().to_numpy()
-            # forward wins only when strictly closer; ties go backward
-            use_f = has_f & (~has_b | (d_fwd < d_back))
-            merged = back
-            for c in ev_cols:
-                merged[c] = back[c].where(~use_f, fwd[c])
-        else:
-            merged = pd.merge_asof(
-                probe_small,
-                right,
-                on="__ts",
-                by=key,
-                direction="backward",
-                allow_exact_matches=allow_exact,
-                tolerance=tol,
-            )
-        for c, name in zip(value_cols, out_event_cols):
-            out = out.append_column(
-                name, pa.array(merged[f"__ev_{c}"], type=event_types[c], from_pandas=True)
-            )
-        return out
-
-    return both.groupby("__bucket").map_groups(merge_bucket, batch_format="pyarrow")
 
 
 def lag_lead(
@@ -533,39 +511,12 @@ def lag_lead(
     num_buckets: int | None = None,
     tiebreak: list[str] | None = None,
 ):
-    """Per-entity lag/lead of `cols` ordered by ts (first/last rows NULL).
-
-    One shuffle by entity-hash bucket; inside a bucket the shift is a
-    vectorized pandas groupby over all entities of the bucket at once.
-    Pass `tiebreak` columns to make ordering total when ts can tie.
+    """Per-entity lag/lead of `cols` ordered by ts (first/last rows NULL):
+    `windowed` with lag columns only. Pass `tiebreak` columns to make
+    ordering total when ts can tie.
     """
-    B = num_buckets or default_buckets(ds)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket", pa.array(_bucket_of(batch[key].to_numpy(zero_copy_only=False), B))
-        )
-
-    def shift_bucket(g: pa.Table) -> pa.Table:
-        order = _sort_order(g, [key, ts, *(tiebreak or [])])
-        out = g.take(pa.array(order)).drop_columns(["__bucket"])
-        k = g[key].to_numpy(zero_copy_only=False)[order]
-        same = np.empty(len(k), dtype=bool)  # same[i]: key[i] == key[i-1]
-        same[0] = False
-        same[1:] = k[1:] == k[:-1]
-        for c in cols:
-            v = g[c].to_numpy(zero_copy_only=False)[order]
-            for n in lags:
-                out = out.append_column(f"{c}_lag{n}", _shift_within(v, same, n))
-            for n in leads:
-                out = out.append_column(f"{c}_lead{n}", _shift_within(v, same, -n))
-        return out
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(shift_bucket, batch_format="pyarrow")
-    )
+    return windowed(ds, key=key, ts=ts, lag_cols=cols, lags=lags, leads=leads,
+                    num_buckets=num_buckets, tiebreak=tiebreak)
 
 
 def windowed(
@@ -584,50 +535,12 @@ def windowed(
     """Fused lag/lead + sessionization: ONE entity-hash shuffle and ONE
     per-bucket sorted scan produce both, instead of two full shuffles of
     the wide table (token payloads move through the exchange once)."""
-    B = num_buckets or default_buckets(ds)
-    gap_td = (
-        None
-        if gap is None
-        else (pd.Timedelta(seconds=gap) if not isinstance(gap, pd.Timedelta) else gap)
-    )
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket", pa.array(_bucket_of(batch[key].to_numpy(zero_copy_only=False), B))
-        )
 
     def scan_bucket(g: pa.Table) -> pa.Table:
-        order = _sort_order(g, [key, ts, *(tiebreak or [])])
-        out = g.take(pa.array(order)).drop_columns(["__bucket"])
-        k = g[key].to_numpy(zero_copy_only=False)[order]
-        m = len(k)
-        same = np.empty(m, dtype=bool)
-        same[0] = False
-        same[1:] = k[1:] == k[:-1]
-        for c in lag_cols or []:
-            v = g[c].to_numpy(zero_copy_only=False)[order]
-            for n in lags:
-                out = out.append_column(f"{c}_lag{n}", _shift_within(v, same, n))
-            for n in leads:
-                out = out.append_column(f"{c}_lead{n}", _shift_within(v, same, -n))
-        if gap_td is not None:
-            t_np = g[ts].to_numpy(zero_copy_only=False)[order]
-            new_entity = ~same
-            gap_break = np.zeros(m, dtype=bool)
-            gap_break[1:] = (t_np[1:] - t_np[:-1]) > gap_td.to_timedelta64()
-            sid = np.cumsum(new_entity | gap_break)
-            ent_id = np.cumsum(new_entity)
-            first = sid[new_entity][ent_id - 1]
-            out = out.append_column(
-                session_col, pa.array((sid - first).astype(np.int64))
-            )
-        return out
+        return _windows(*_sorted(g, key, ts, tiebreak), ts, lag_cols, lags, leads,
+                        gap, session_col)
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(scan_bucket, batch_format="pyarrow")
-    )
+    return grouped_map(ds, key, scan_bucket, num_buckets=num_buckets, batch_format="pyarrow")
 
 
 def temporal_attach(
@@ -656,148 +569,17 @@ def temporal_attach(
 
     asof_join followed by windowed shuffles the wide probe table twice
     (both bucket by the same entity key); here events ride along in the
-    same exchange and the as-of lookup is a per-key-segment binary
-    search (np.searchsorted cursor) over the ts-sorted events — the
-    probe sort order is (key, ts, tiebreak), which also serves the
-    window pass, so payload columns move exactly once."""
-    event_key = event_key or key
-    B = num_buckets or default_buckets(probe_ds, event_ds)
-    if probe_schema is None:
-        probe_schema = probe_ds.schema(fetch_if_missing=False) or probe_ds.schema()
-    probe_schema = _as_arrow_schema(probe_schema)
-    probe_cols = probe_schema.names
-    probe_types = dict(zip(probe_schema.names, probe_schema.types))
-    if event_schema is None:
-        event_schema = event_ds.schema(fetch_if_missing=False) or event_ds.schema()
-    event_schema = _as_arrow_schema(event_schema)
-    event_types = dict(zip(event_schema.names, event_schema.types))
-    out_event_cols = [f"asof_{c}" for c in value_cols]
-    ev_cols = [f"__ev_{c}" for c in value_cols]
-    gap_td = (
-        None
-        if gap is None
-        else (pd.Timedelta(seconds=gap) if not isinstance(gap, pd.Timedelta) else gap)
+    same exchange and the as-of lookup is a cursor over the bucket's
+    probe and event rows (`_asof_match`) — the probe sort order is
+    (key, ts, tiebreak), which also serves the window pass, so payload
+    columns move exactly once."""
+    return _attach(
+        probe_ds, event_ds, key=key, probe_ts=probe_ts, event_ts=event_ts,
+        value_cols=value_cols, event_key=event_key, num_buckets=num_buckets,
+        allow_exact=allow_exact, tolerance=tolerance, probe_schema=probe_schema,
+        event_schema=event_schema, tiebreak=tiebreak, lag_cols=lag_cols, lags=lags,
+        leads=leads, gap=gap, session_col=session_col,
     )
-    tol_td = (
-        None
-        if tolerance is None
-        else (
-            pd.Timedelta(seconds=tolerance)
-            if not isinstance(tolerance, pd.Timedelta)
-            else tolerance
-        )
-    )
-
-    def tag_probe(batch: pa.Table) -> pa.Table:
-        t = batch.append_column(
-            "__bucket", pa.array(_bucket_of(batch[key].to_numpy(zero_copy_only=False), B))
-        )
-        t = t.append_column("__side", pa.array(np.zeros(len(batch), dtype=np.int8)))
-        t = t.append_column("__ts", batch[probe_ts])
-        for c in value_cols:
-            t = t.append_column(f"__ev_{c}", pa.nulls(len(batch), type=event_types[c]))
-        return t.select([*probe_cols, "__bucket", "__side", "__ts", *ev_cols])
-
-    def tag_event(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        cols = {
-            "__bucket": pa.array(_bucket_of(batch[event_key].to_numpy(zero_copy_only=False), B)),
-            "__side": pa.array(np.ones(n, dtype=np.int8)),
-            "__ts": batch[event_ts].cast(probe_types[probe_ts]),
-            key: batch[event_key].cast(probe_types[key]),
-        }
-        t = pa.table(cols)
-        for c in probe_cols:
-            if c not in t.column_names:
-                t = t.append_column(c, pa.nulls(n, type=probe_types[c]))
-        for c in value_cols:
-            t = t.append_column(f"__ev_{c}", batch[c])
-        return t.select([*probe_cols, "__bucket", "__side", "__ts", *ev_cols])
-
-    both = probe_ds.map_batches(tag_probe, batch_format="pyarrow").union(
-        event_ds.map_batches(tag_event, batch_format="pyarrow")
-    )
-
-    def scan_bucket(g: pa.Table) -> pa.Table:
-        side = g["__side"].to_numpy()
-        probe_idx = np.flatnonzero(side == 0)
-        event_idx = np.flatnonzero(side == 1)
-        ts = g["__ts"].to_numpy(zero_copy_only=False)
-        keys_np = g[key].to_numpy(zero_copy_only=False)
-
-        # probe order: (key, ts, tiebreak) — serves window AND per-key as-of
-        sub = g.take(pa.array(probe_idx))
-        order_local = _sort_order(sub, [key, "__ts", *(tiebreak or [])])
-        order = probe_idx[order_local]
-        out = g.take(pa.array(order)).drop_columns(["__bucket", "__side", "__ts", *ev_cols])
-        k = keys_np[order]
-        t_np = ts[order]
-        m = len(k)
-        same = np.empty(m, dtype=bool)
-        if m:  # a bucket can hold ONLY event rows (probe keys absent)
-            same[0] = False
-            same[1:] = k[1:] == k[:-1]
-
-        # ---- as-of attach: per-key-segment binary-search cursor
-        ev_order = event_idx[np.argsort(ts[event_idx], kind="stable")]
-        ek, et = keys_np[ev_order], ts[ev_order]
-        attach_src = np.full(m, -1, dtype=np.int64)  # index into ev_order
-        if len(ev_order):
-            ek_sort = np.argsort(ek, kind="stable")  # events grouped by key, ts-sorted within
-            ek_g, et_g = ek[ek_sort], et[ek_sort]
-            key_starts = np.flatnonzero(
-                np.concatenate(([True], ek_g[1:] != ek_g[:-1]))
-            )
-            key_vals = ek_g[key_starts]
-            key_ends = np.append(key_starts[1:], len(ek_g))
-            seg_starts = np.flatnonzero(~same)  # probe key-segment starts
-            seg_ends = np.append(seg_starts[1:], m)
-            for lo, hi in zip(seg_starts, seg_ends):
-                ki = np.searchsorted(key_vals, k[lo])
-                if ki >= len(key_vals) or key_vals[ki] != k[lo]:
-                    continue
-                elo, ehi = key_starts[ki], key_ends[ki]
-                side_ = "right" if allow_exact else "left"
-                pos = np.searchsorted(et_g[elo:ehi], t_np[lo:hi], side=side_) - 1
-                valid = pos >= 0
-                if tol_td is not None:
-                    # staleness bound: the matched event must lie within
-                    # tolerance of the probe ts
-                    ev_ts = et_g[elo + np.clip(pos, 0, None)]
-                    valid &= (t_np[lo:hi] - ev_ts) <= tol_td.to_timedelta64()
-                # map back: ek_sort indexes the ev_order-sorted arrays,
-                # ev_order indexes the original bucket rows
-                attach_src[lo:hi][valid] = ev_order[ek_sort[elo + pos[valid]]]
-        mask = attach_src >= 0
-        for c, name in zip(value_cols, out_event_cols):
-            all_vals = g[f"__ev_{c}"].to_numpy(zero_copy_only=False)
-            attached = np.empty(m, dtype=object)
-            attached[:] = None
-            attached[mask] = all_vals[attach_src[mask]]
-            out = out.append_column(
-                name, pa.array(attached, type=event_types[c], from_pandas=True)
-            )
-
-        # ---- lag/lead
-        for c in lag_cols or []:
-            v = g[c].to_numpy(zero_copy_only=False)[order]
-            for n in lags:
-                out = out.append_column(f"{c}_lag{n}", _shift_within(v, same, n))
-            for n in leads:
-                out = out.append_column(f"{c}_lead{n}", _shift_within(v, same, -n))
-
-        # ---- sessionize
-        if gap_td is not None:
-            new_entity = ~same
-            gap_break = np.zeros(m, dtype=bool)
-            gap_break[1:] = (t_np[1:] - t_np[:-1]) > gap_td.to_timedelta64()
-            sid = np.cumsum(new_entity | gap_break)
-            ent_id = np.cumsum(new_entity)
-            first = sid[new_entity][ent_id - 1]
-            out = out.append_column(session_col, pa.array((sid - first).astype(np.int64)))
-        return out
-
-    return both.groupby("__bucket").map_groups(scan_bucket, batch_format="pyarrow")
 
 
 def sessionize(
@@ -812,37 +594,10 @@ def sessionize(
 ):
     """Gap-based sessionization: a new session starts when the time since
     the entity's previous row exceeds `gap` (pd.Timedelta or seconds).
-    Emits a 0-based per-entity session index."""
-    B = num_buckets or default_buckets(ds)
-    gap_td = pd.Timedelta(seconds=gap) if not isinstance(gap, pd.Timedelta) else gap
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket", pa.array(_bucket_of(batch[key].to_numpy(zero_copy_only=False), B))
-        )
-
-    def sess_bucket(g: pa.Table) -> pa.Table:
-        order = _sort_order(g, [key, ts, *(tiebreak or [])])
-        out = g.take(pa.array(order)).drop_columns(["__bucket"])
-        k = g[key].to_numpy(zero_copy_only=False)[order]
-        t_np = g[ts].to_numpy(zero_copy_only=False)[order]
-        m = len(k)
-        new_entity = np.empty(m, dtype=bool)
-        new_entity[0] = True
-        new_entity[1:] = k[1:] != k[:-1]
-        gap_break = np.zeros(m, dtype=bool)
-        gap_break[1:] = (t_np[1:] - t_np[:-1]) > gap_td.to_timedelta64()
-        sid = np.cumsum(new_entity | gap_break)
-        # per-entity 0-based index: subtract the entity's first session id
-        ent_id = np.cumsum(new_entity)  # 1-based entity ordinal
-        first = sid[new_entity][ent_id - 1]
-        return out.append_column(session_col, pa.array((sid - first).astype(np.int64)))
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(sess_bucket, batch_format="pyarrow")
-    )
+    Emits a 0-based per-entity session index: `windowed` with a gap
+    only."""
+    return windowed(ds, key=key, ts=ts, gap=gap, session_col=session_col,
+                    num_buckets=num_buckets, tiebreak=tiebreak)
 
 
 def ohlc_agg(
@@ -1127,28 +882,13 @@ def fill_forward(
     to the entity segment's first row so state never leaks across
     entities. No per-row Python, any number of fill columns per pass.
     """
-    B = num_buckets or default_buckets(ds)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket", pa.array(_bucket_of(batch[key].to_numpy(zero_copy_only=False), B))
-        )
-
     def fill_bucket(g: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        order = _sort_order(g, [key, ts, *(tiebreak or [])])
-        out = g.take(pa.array(order)).drop_columns(["__bucket"])
-        k = out[key].to_numpy(zero_copy_only=False)
-        m = len(k)
-        same = np.empty(m, dtype=bool)
-        same[0] = False
-        same[1:] = k[1:] == k[:-1]
+        out, same = _sorted(g, key, ts, tiebreak)
+        m = len(same)
         pos = np.arange(m)
-        # first row index of each entity segment, carried forward
-        seg_first = np.maximum.accumulate(np.where(~same, pos, -1))
+        seg_first = _seg_start(same)
         for c in cols:
-            arr = out[c].combine_chunks() if out[c].num_chunks > 1 else out[c].chunk(0) if out[c].num_chunks else pa.nulls(0, type=out.schema.field(c).type)
+            arr = out[c].combine_chunks()
             valid = ~np.asarray(pc.is_null(arr, nan_is_null=True))
             src = np.maximum.accumulate(np.where(valid, pos, -1))
             ok = src >= seg_first  # a carry from before the segment is no carry
@@ -1159,11 +899,7 @@ def fill_forward(
             )
         return out
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(fill_bucket, batch_format="pyarrow")
-    )
+    return grouped_map(ds, key, fill_bucket, num_buckets=num_buckets, batch_format="pyarrow")
 
 
 def funnel(

@@ -1,7 +1,9 @@
 """The two fold primitives the relational queries share:
 `stages.arrowutil.bucket_fold` (grouped ufunc folds) against a pandas
 groupby, and `stages.temporal.fused_exchange` (one tagged-union
-exchange) on one-sided buckets, empty inputs and 1 vs 16 buckets."""
+exchange) on one-sided buckets, empty inputs and 1 vs 16 buckets;
+`grouped_map` and `fused_exchange` on keys that share a stride with
+the bucket count."""
 
 import uuid
 
@@ -12,7 +14,8 @@ import pytest
 import ray
 
 from complexity_driven_feature_construction_ray.stages.arrowutil import bucket_fold
-from complexity_driven_feature_construction_ray.stages.temporal import fused_exchange
+from complexity_driven_feature_construction_ray.stages.bucketing import bucket_of
+from complexity_driven_feature_construction_ray.stages.temporal import fused_exchange, grouped_map
 
 
 def _groupby(keys, values, how):
@@ -129,12 +132,13 @@ def test_fused_exchange_co_groups_both_sides(num_buckets):
     assert set(out["seen"]) == {"k,v|k,v"}
     # each key meets all its rows, from both sides, in one call
     assert (out.groupby("k")["call"].nunique() == 1).all()
-    if num_buckets == 1:
-        assert out["call"].nunique() == 1
-    else:
-        assert out["call"].nunique() == 16
-        one_sided = out.loc[out["second_rows"] == 0, "k"]
-        assert len(one_sided) and (one_sided % 16 >= 8).all()
+    # one call per bucket that holds a key; a first-side key meets no
+    # second-side row exactly when no second-side key shares its bucket
+    bucket = bucket_of(np.arange(32), num_buckets)
+    assert out["call"].nunique() == len(set(bucket))
+    one_sided = set(out.loc[out["second_rows"] == 0, "k"])
+    assert one_sided == {k for k in range(32) if bucket[k] not in bucket[:8]}
+    assert (num_buckets == 1) == (not one_sided)
 
 
 def test_fused_exchange_with_only_one_side_in_every_bucket():
@@ -150,6 +154,55 @@ def test_fused_exchange_with_both_sides_empty():
     empty = ray.data.from_arrow(_side([], 0))
     out = fused_exchange(empty, empty, "k", _echo(), num_buckets=16)
     assert out.take_all() == []
+
+
+# keys sharing a stride with the bucket count, and one key column
+# typed int32 on one side and int64 on the other
+STRIDED = [
+    pytest.param(4, 4, np.int64, np.int64, id="4i-at-4"),
+    pytest.param(16, 16, np.int64, np.int64, id="16i-at-16"),
+    pytest.param(4, 4, np.int32, np.int64, id="int32-int64-at-4"),
+    pytest.param(16, 16, np.int32, np.int64, id="int32-int64-at-16"),
+]
+
+
+@pytest.mark.parametrize("stride, num_buckets, first_dtype, second_dtype", STRIDED)
+def test_grouped_map_fills_every_bucket_with_strided_keys(stride, num_buckets, first_dtype,
+                                                          second_dtype):
+    keys = stride * np.arange(300)
+    first = pa.table({"k": keys.astype(first_dtype), "v": np.arange(300)})
+    second = pa.table({"k": keys[::-1].astype(second_dtype), "v": 1000 + np.arange(300)})
+
+    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        out = g.groupby("k", as_index=False)["v"].sum()
+        return out.assign(call=uuid.uuid4().hex)
+
+    out = grouped_map(ray.data.from_arrow([first, second]), "k", per_bucket,
+                      num_buckets=num_buckets).to_pandas()
+    assert out["call"].nunique() == num_buckets
+    ref = pd.concat([first.to_pandas(), second.to_pandas()]).groupby("k", as_index=False)["v"].sum()
+    got = out.sort_values("k")[["k", "v"]].reset_index(drop=True)
+    np.testing.assert_array_equal(got.to_numpy(), ref.to_numpy())
+
+
+@pytest.mark.parametrize("stride, num_buckets, first_dtype, second_dtype", STRIDED)
+def test_fused_exchange_fills_every_bucket_with_strided_keys(stride, num_buckets, first_dtype,
+                                                             second_dtype):
+    keys = stride * np.arange(300)
+    first = pa.table({"k": keys.astype(first_dtype), "a": np.arange(300)})
+    second = pa.table({"k": keys[::2].astype(second_dtype), "a": 1000 + np.arange(150)})
+
+    def join(lt: pa.Table, rt: pa.Table) -> pd.DataFrame:
+        out = lt.to_pandas().merge(rt.to_pandas(), on="k", suffixes=("", "_r"))
+        return out.assign(call=uuid.uuid4().hex, first_rows=lt.num_rows)
+
+    out = fused_exchange(ray.data.from_arrow(first), ray.data.from_arrow(second), "k", join,
+                         num_buckets=num_buckets).to_pandas()
+    assert out["call"].nunique() == num_buckets
+    ref = first.to_pandas().merge(second.to_pandas(), on="k", suffixes=("", "_r"))
+    got = out.sort_values("k")[["k", "a", "a_r"]].reset_index(drop=True)
+    np.testing.assert_array_equal(got.to_numpy(), ref.sort_values("k").to_numpy())
+    assert out.groupby("call")["first_rows"].first().sum() == 300
 
 
 def test_relational_queries_do_not_inline_the_fold_or_the_header_probe():
@@ -168,3 +221,24 @@ def test_relational_queries_do_not_inline_the_fold_or_the_header_probe():
     assert "# FK: header" not in src
     assert "num_cpus=0.5" not in src
     assert not re.findall(r"ObjectRef\)\s*\\?\s*else", src)
+
+
+def test_temporal_partition_and_relational_exchange_only_through_grouped_map():
+    # the exchange behind grouped_map and fused_exchange is the one
+    # place that tags rows with a bucket and groups by it, and the
+    # as-of attach has one cursor (_asof_match)
+    import inspect
+    import re
+
+    from complexity_driven_feature_construction_ray.pipelines import relational
+    from complexity_driven_feature_construction_ray.stages import partition, temporal
+
+    for mod in (temporal, partition, relational):
+        src = inspect.getsource(mod)
+        if mod is temporal:
+            exchange = inspect.getsource(temporal._exchange)
+            assert src.count(exchange) == 1
+            src = src.replace(exchange, "")
+        assert not re.findall(r"""\.groupby\(\s*\[?\s*["']__""", src), mod.__name__
+        assert not re.findall(r"merge_asof\s*\(", src), mod.__name__
+        assert "_bucket_of" not in src and "_hash_mod" not in src, mod.__name__

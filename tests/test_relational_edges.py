@@ -161,7 +161,8 @@ def test_folds_over_no_joined_row_are_null(ray_session, no_orders, name, null_co
 
 
 # every query that attaches a customer, supplier or part column through
-# broadcast_join, with the dimension tables it probes
+# broadcast_join or to its top-k rows after ranking, with the dimension
+# tables it probes
 DIMENSION_PROBES = {
     "q_basket_diversity": ("part",),
     "q_brand_customer_dependency": ("part",),
@@ -190,6 +191,10 @@ DIMENSION_PROBES = {
     "q_trade_balance": ("customer", "supplier"),
     "q_trade_flows": ("customer", "supplier"),
     "q_broadcast_join": ("customer",),
+    "q_returned_top_customers": ("customer",),
+    "q_deepest_discount_parts": ("part",),
+    "q_supplier_discount_exposure": ("supplier",),
+    "q_supplier_return_rate": ("supplier",),
 }
 
 

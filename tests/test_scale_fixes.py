@@ -376,9 +376,11 @@ class TestRangeWindowAndGroupedMedian:
 
 class TestAsofTolerance:
     def test_staleness_bound(self, ray_session):
-        """tolerance nulls out matches older than the bound — verified
-        against a brute-force oracle on both the asof_join and the
-        fused temporal_attach paths."""
+        """tolerance nulls out matches older than the bound, and
+        allow_exact=False skips an event at the probe's own ts —
+        verified against a brute-force oracle on both the asof_join and
+        the fused temporal_attach paths, and on asof_join's nearest
+        direction (further than tolerance either way is no match)."""
         from complexity_driven_feature_construction_ray.stages.temporal import (
             asof_join,
             temporal_attach,
@@ -402,27 +404,45 @@ class TestAsofTolerance:
                 "v": rng.normal(0, 1, 60).round(3),
             }
         )
+        # probes at an event's own (k, ts), where allow_exact decides
+        exact = event.iloc[::3][["k", "ts"]].assign(pid=n + np.arange(20))
+        probe = pd.concat([probe, exact], ignore_index=True)
         tol = 12 * 3600.0
-        for fn, kw in (
-            (asof_join, {}),
-            (temporal_attach, {}),
-        ):
+
+        def oracle(row, allow_exact, tolerance, direction="backward"):
+            ev = event[event["k"] == row["k"]]
+            before = (row["ts"] - ev["ts"]).dt.total_seconds()  # > 0: event first
+            near = np.abs(before) <= (np.inf if tolerance is None else tolerance)
+            back = ev[near & ((before > 0) | (allow_exact & (before == 0)))]
+            fwd = ev[near & ((before < 0) | (allow_exact & (before == 0)))]
+            b = back.sort_values("ts").iloc[-1] if len(back) else None
+            f = fwd.sort_values("ts").iloc[0] if len(fwd) and direction == "nearest" else None
+            if f is not None and (b is None or f["ts"] - row["ts"] < row["ts"] - b["ts"]):
+                return f["v"]
+            return np.nan if b is None else b["v"]
+
+        cases = [
+            (fn, {"allow_exact": ax, "tolerance": t})
+            for fn in (asof_join, temporal_attach)
+            for ax in (True, False)
+            for t in (None, tol)
+        ] + [
+            (asof_join, {"allow_exact": ax, "tolerance": t, "direction": "nearest"})
+            for ax in (True, False)
+            for t in (None, tol)
+        ]
+        for fn, kw in cases:
             out = fn(
                 ray.data.from_arrow(pa.Table.from_pandas(probe)),
                 ray.data.from_arrow(pa.Table.from_pandas(event)),
                 key="k", probe_ts="ts", event_ts="ts",
-                value_cols=["v"], tolerance=tol, num_buckets=4, **kw,
+                value_cols=["v"], num_buckets=4, **kw,
             ).to_pandas().set_index("pid")["asof_v"]
-            w = pd.Timedelta(seconds=tol)
+            assert len(out) == len(probe)
             for _, row in probe.iterrows():
-                cand = event[
-                    (event["k"] == row["k"])
-                    & (event["ts"] <= row["ts"])
-                    & (event["ts"] >= row["ts"] - w)
-                ]
-                exp = cand.sort_values("ts")["v"].iloc[-1] if len(cand) else np.nan
+                exp = oracle(row, **kw)
                 got = out[row["pid"]]
-                assert (np.isnan(exp) and np.isnan(got)) or got == exp, row["pid"]
+                assert (np.isnan(exp) and np.isnan(got)) or got == exp, (fn.__name__, kw, row["pid"])
 
 
 @pytest.mark.parametrize("seed", [1, 7, 23])
