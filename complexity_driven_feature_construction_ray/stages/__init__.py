@@ -1,46 +1,3 @@
-from .token_stats import add_token_stats, token_stats_dataset, TOKEN_STAT_COLS
-from .stats import column_stats, base_features_from_stats
-from .fit import fit_distributed
-from .backfill import FeatureBackfill, backfill_dataset
-from .temporal import asof_join, lag_lead, sessionize, rolling_agg, grouped_map, windowed, temporal_attach
-from .text import text_analysis_dataset, token_counts, quality_scores, LanguageId, fingerprint
-from .dedup import (
-    exact_dedup,
-    minhash_lsh_dedup,
-    simhash_dedup,
-    embedding_dedup,
-    minhash_signatures,
-    ngram_jaccard,
-)
-from .similarity import knn_bruteforce, knn_ivf
-
-__all__ = [
-    "add_token_stats",
-    "token_stats_dataset",
-    "TOKEN_STAT_COLS",
-    "column_stats",
-    "base_features_from_stats",
-    "fit_distributed",
-    "FeatureBackfill",
-    "backfill_dataset",
-    "asof_join",
-    "lag_lead",
-    "sessionize",
-    "rolling_agg",
-    "grouped_map",
-    "windowed",
-    "temporal_attach",
-    "text_analysis_dataset",
-    "token_counts",
-    "quality_scores",
-    "LanguageId",
-    "fingerprint",
-    "exact_dedup",
-    "minhash_lsh_dedup",
-    "simhash_dedup",
-    "embedding_dedup",
-    "minhash_signatures",
-    "ngram_jaccard",
-    "knn_bruteforce",
-    "knn_ivf",
-]
+"""Distributed stages. Import each from its submodule (`stages.temporal`,
+`stages.dedup`, ...): the package root re-exports nothing, so a Ray
+worker that unpickles one stage imports only that stage's module."""

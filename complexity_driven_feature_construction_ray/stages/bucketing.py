@@ -4,11 +4,12 @@ lands in (`bucket_of`) and how many buckets there are (`default_buckets`).
 Every windowed / as-of / grouped-map / dedup stage hashes entities into
 B buckets and processes each bucket as ONE in-memory table inside
 groupby(bucket).map_groups. `stages/temporal.py:grouped_map` (one
-input) and `fused_exchange` (two) are the one place the temporal,
-partition and relational stages assign buckets, always through
-`bucket_of`. B scales with DATA SIZE so bucket memory stays bounded at
-100 TB; the CPU count is the only floor (more buckets than CPUs on
-small input only add tasks and exchange fragments).
+input) and `fused_exchange` (two) are the one place every hash
+exchange (temporal, partition, relational, dedup and text stages)
+assigns buckets, always through `bucket_of`. B scales with DATA SIZE
+so bucket memory stays bounded at 100 TB; the CPU count is the only
+floor (more buckets than CPUs on small input only add tasks and
+exchange fragments).
 
 Row counts come from Dataset metadata only (`ds._meta_count()`), which
 is free for read_parquet / from_pandas / repartition lineages and None

@@ -1,46 +1,36 @@
 """Deduplication stages: exact, MinHash+LSH, SimHash, embedding-cosine.
 
 Training-data curation ops at 100 TB shape:
-- exact: content-hash per batch -> groupby(hash) -> keep min id per
-  distinct content (collision-safe: the group re-checks real content)
+- exact: keep min id per distinct content, co-grouped by content hash
+  (collision-safe: the group re-checks real content)
 - MinHash+LSH: shingle->minhash signatures per batch (all-vectorized
-  segmented numpy, no Python loop over shingles), explode to
-  (band, band_hash) rows, groupby band bucket, emit candidate pairs
-  with estimated Jaccard >= threshold, then a driver-side union-find
-  over the (tiny) pair set to form duplicate clusters
+  segmented numpy, no Python loop over shingles), banded into bucket
+  keys, candidate pairs with estimated Jaccard >= threshold from the
+  collided buckets, then a driver-side union-find over the (tiny) pair
+  set to form duplicate clusters
 - SimHash: 64-bit sign fingerprint, banded into 4x16-bit keys,
   Hamming-verified within buckets
 - embedding-cosine: random-hyperplane LSH buckets + exact cosine verify
 
-The heavy work (hashing, signatures, banding) streams through
-map_batches; only band-bucket groups (a shuffle of small key rows, not
-documents) and the candidate pair list leave the stream.
+Every LSH family (MinHash, incremental MinHash, SimHash, pHash,
+embedding) goes through ONE pair scan, `_pairs_from_band_arrays`. Every
+hash exchange here goes through `stages/temporal.py:grouped_map` (one
+input) or `fused_exchange` (two), so `bucketing.bucket_of` assigns all
+buckets. The heavy work (hashing, signatures, banding) streams through
+map_batches; only small key rows (never documents) and the candidate
+pair list cross an exchange.
 """
 
 from __future__ import annotations
 
-import os
-import sys
-import time
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .arrowutil import list_column_matrix
 from .bucketing import default_buckets
-
-# GRAFT_DEDUP_PROFILE=1 prints per-phase wall times (count pass, pair
-# pass, cluster fold) to stderr — the diagnostic the N->4N scaling
-# protocol needs to localize a non-scaling component.
-_PROFILE = os.environ.get("GRAFT_DEDUP_PROFILE") == "1"
-
-
-def _prof(label: str, t0: float) -> float:
-    t1 = time.perf_counter()
-    if _PROFILE:
-        sys.stderr.write(f"[dedup-profile] {label}: {t1 - t0:.2f}s\n")
-    return t1
+from .temporal import fused_exchange, grouped_map
 
 _U64 = np.uint64
 _PRIME = _U64((1 << 61) - 1)
@@ -56,32 +46,15 @@ def _hash_words(words: np.ndarray) -> np.ndarray:
 
 
 def exact_dedup(ds, *, content_col: str = "text", id_col: str = "doc_id", num_buckets: int | None = None):
-    """Keep one row (min id) per distinct content value. Hash-partition
-    by a BUCKET of the content hash (per-partition Python call, not one
-    per distinct content); the per-partition step resolves hash
-    collisions by grouping on the actual content."""
-    if num_buckets is None:
-        # data-sized (rows/target from metadata), CPU count only a floor:
-        # a CPU-derived count would grow per-bucket memory with the corpus
-        num_buckets = default_buckets(ds)
-
-    def add_hash(batch: pa.Table) -> pa.Table:
-        h = pd.util.hash_array(
-            np.asarray(batch[content_col].to_pandas(), dtype=object), hash_key=_HASH_KEY
-        )
-        return batch.append_column(
-            "__cbucket", pa.array((h % num_buckets).astype(np.int64))
-        )
+    """Keep one row (min id) per distinct content value. Rows co-group
+    by a bucket of the content hash (one call per bucket, not one per
+    distinct content); each bucket resolves hash collisions by grouping
+    on the actual content. B defaults to a data-sized count."""
 
     def first_per_content(g: pd.DataFrame) -> pd.DataFrame:
-        keep = g.sort_values(id_col, kind="stable").groupby(content_col, sort=False).head(1)
-        return keep.drop(columns=["__cbucket"])
+        return g.sort_values(id_col, kind="stable").groupby(content_col, sort=False).head(1)
 
-    return (
-        ds.map_batches(add_hash, batch_format="pyarrow")
-        .groupby("__cbucket")
-        .map_groups(first_per_content, batch_format="pandas")
-    )
+    return grouped_map(ds, content_col, first_per_content, num_buckets=num_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -235,38 +208,9 @@ def minhash_lsh_dedup(
     table, so the corpus text is scanned and shingled exactly once —
     recomputing signatures per pass measured ~55s of each pass at 3M
     docs / 8 CPUs, pure duplicated compute."""
-
-    def featurize(batch: pa.Table) -> pa.Table:
-        texts = batch[text_col].to_pylist()
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        sigs = minhash_signatures(texts, num_perm, seed=seed)
-        return pa.table({
-            id_col: pa.array(np.asarray(ids)),
-            "sig": pa.FixedSizeListArray.from_arrays(
-                pa.array(sigs.astype(np.int64).reshape(-1)), num_perm
-            ),
-        })
-
-    sig_ds = ds.map_batches(featurize, batch_format="pyarrow").materialize()
-
-    def band_arrays(batch: pa.Table):
-        """(flat doc-major buckets, per-doc ids, per-doc signatures)
-        from the signature table — band keys re-derive from the stored
-        signatures (a few cheap integer folds), never from text."""
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        sigs = np.ascontiguousarray(
-            list_column_matrix(batch["sig"], dtype=np.int64)
-        )
-        keys = _band_keys(sigs.view(_U64), bands)  # (n, bands) int64
-        n = len(ids)
-        # fold (band_id, band_key) into one int64 bucket key so the
-        # downstream count/filter/groupby is single-column + vectorized
-        band_id = np.tile(np.arange(bands, dtype=np.uint64), n)
-        with np.errstate(over="ignore"):
-            bucket = (keys.reshape(-1).view(_U64) * _U64(bands * 2 + 1) + band_id).view(
-                np.int64
-            )
-        return bucket, ids, sigs
+    sig_ds = ds.map_batches(
+        _minhash_featurize(text_col, id_col, num_perm, seed), batch_format="pyarrow"
+    ).materialize()
 
     def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) < 2:
@@ -289,12 +233,48 @@ def minhash_lsh_dedup(
         return (A == B).mean(axis=1)
 
     pairs = _pairs_from_band_arrays(
-        sig_ds, band_arrays, "sig", bands, bucket_pairs, id_col,
-        fast2=(est2, lambda e: e >= threshold),
+        sig_ds, _minhash_band_arrays(id_col, num_perm, bands), "sig", bands,
+        bucket_pairs, id_col, fast2=(est2, lambda e: e >= threshold),
     )
     if return_pairs:
         return pairs
     return _clusters_from_pairs(pairs)
+
+
+def _minhash_featurize(text_col: str, id_col: str, num_perm: int, seed: int, side=None):
+    """Batch -> signature table (id, sig). With a `side` (1 new, 0 old)
+    the side flag rides as one more signature column."""
+
+    def featurize(batch: pa.Table) -> pa.Table:
+        ids = batch[id_col].to_numpy(zero_copy_only=False)
+        sigs = minhash_signatures(batch[text_col].to_pylist(), num_perm, seed=seed).astype(np.int64)
+        if side is not None:
+            sigs = np.column_stack([sigs, np.full(len(sigs), side, np.int64)])
+        return pa.table({
+            id_col: pa.array(np.asarray(ids)),
+            "sig": pa.FixedSizeListArray.from_arrays(pa.array(sigs.reshape(-1)), sigs.shape[1]),
+        })
+
+    return featurize
+
+
+def _minhash_band_arrays(id_col: str, num_perm: int, bands: int):
+    """The MinHash `band_arrays` for `_pairs_from_band_arrays`: band keys
+    re-derive from the stored signatures (a few cheap integer folds,
+    never from text); the feature is the whole stored signature row."""
+
+    def band_arrays(batch: pa.Table):
+        ids = batch[id_col].to_numpy(zero_copy_only=False)
+        sigs = np.ascontiguousarray(list_column_matrix(batch["sig"], dtype=np.int64))
+        keys = _band_keys(sigs[:, :num_perm].view(_U64), bands)  # (n, bands) int64
+        # fold (band_id, band_key) into one int64 bucket key so the
+        # downstream count/filter/exchange is single-column + vectorized
+        band_id = np.tile(np.arange(bands, dtype=np.uint64), len(ids))
+        with np.errstate(over="ignore"):
+            bucket = (keys.reshape(-1).view(_U64) * _U64(bands * 2 + 1) + band_id).view(np.int64)
+        return bucket, ids, sigs
+
+    return band_arrays
 
 
 def _hamming_elementwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -306,29 +286,29 @@ def _hamming_elementwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _pairs_from_band_arrays(
     ds, band_arrays, feat_col: str, bands: int, bucket_pairs, id_col: str, fast2=None
 ) -> pd.DataFrame:
-    """Candidate pairs without EVER materializing the band-replicated
-    feature stream.
+    """Candidate pairs from LSH band buckets: the one pair scan behind
+    MinHash (plain and incremental), SimHash, pHash and embedding dedup.
 
-    The original shape (to_bands emits (bucket, id, feature) with the
-    feature np.repeat-ed once per band, then counts/filters that) moves
-    feature_bytes x bands through memory twice — for 64-perm MinHash at
-    3M docs that is ~24 GB of pure memcpy per pass, which saturates
-    node memory bandwidth and shows up as a NON-SCALING serial
-    component in the N->4N protocol (measured efficiency 0.69).
-    Contract instead: band_arrays(batch) -> (bucket_flat doc-major
-    (n*bands,), ids (n,), feat (n,) or (n,d)); this helper derives
+    Contract: band_arrays(batch) -> (bucket_flat doc-major (n*bands,),
+    ids (n,), feat (n,) or (n,d)). The band-replicated feature stream
+    is never built: np.repeat-ing a 64-perm signature per band moves
+    feature_bytes x bands through memory twice (~24 GB per pass at 3M
+    docs), a NON-SCALING serial component in the N->4N protocol
+    (measured efficiency 0.69). Instead:
 
     - count pass: per-batch np.unique over the flat buckets only (no
-      id/feature replication at all), coarse hash-bucket fold, hot set
-      = buckets with >= 2 members (broadcast via one ray.put);
+      id/feature replication), folded by `grouped_map` into the hot set
+      = buckets with >= 2 members (broadcast via one ray.put). A
+      groupby(bucket) would pay one Python call, or one sort key, per
+      distinct bucket, almost all of them singletons;
     - pair pass: recompute buckets, searchsorted-filter to hot rows,
       and GATHER ids/features only for those (dup-rate-sized), then
-      the partitioned bucket scan (vectorized size-2 fast path via
-      fast2, per-bucket fallback otherwise) with in-cluster pair dedup.
+      `grouped_map` on the bucket key into P coarse partitions, each one
+      `_partition_pairs_arrow` scan (vectorized size-2 fast path via
+      fast2, per-bucket `bucket_pairs` otherwise) with in-partition
+      pair dedup. Without fast2 every bucket goes to `bucket_pairs`.
     """
     import ray
-
-    from .temporal import grouped_map
 
     def count_partials(batch: pa.Table) -> pa.Table:
         bucket, _ids, _f = band_arrays(batch)
@@ -350,7 +330,6 @@ def _pairs_from_band_arrays(
         totals = np.add.reduceat(cs, starts)
         return pa.table({"bucket": pa.array(bs[starts][totals >= 2])})
 
-    t0 = time.perf_counter()
     # materialize the (clipped-count, vocabulary-sized) partials before
     # the grouped_map sort — same chained-map->Sort pathology note as
     # the hot-row stream below
@@ -359,20 +338,22 @@ def _pairs_from_band_arrays(
     ).materialize()
     hot = grouped_map(partials, "bucket", hot_in_group, batch_format="pyarrow")
     hot_keys = np.sort(hot.to_pandas()["bucket"].to_numpy().astype(np.int64))
-    t0 = _prof(f"count pass ({len(hot_keys)} hot buckets)", t0)
     if len(hot_keys) == 0:
         return pd.DataFrame({"a": [], "b": [], "est": []})
+    # ONE shared object-store copy read zero-copy by every task, instead
+    # of re-serializing a closure-captured array per task submission
     hot_ref = ray.put(hot_keys)
+    # ~1k collided buckets per partition, however dup-heavy the corpus:
+    # the per-call overhead is paid P times, not once per bucket
     P = max(64, len(hot_keys) // 1024 + 1)
 
     def hot_rows(batch: pa.Table) -> pa.Table:
         bucket, ids, feat = band_arrays(batch)
-        hk = ray.get(hot_ref)
+        hk = ray.get(hot_ref)  # SORTED: searchsorted membership
         pos = np.searchsorted(hk, bucket)
         mask = (pos < len(hk)) & (hk[np.minimum(pos, len(hk) - 1)] == bucket)
         sel = np.flatnonzero(mask)
         doc = sel // bands
-        bsel = bucket[sel]
         fsel = feat[doc]
         if fsel.ndim == 2:
             farr = pa.FixedSizeListArray.from_arrays(
@@ -381,32 +362,24 @@ def _pairs_from_band_arrays(
         else:
             farr = pa.array(fsel)
         return pa.table({
-            "bucket": pa.array(bsel),
+            "bucket": pa.array(bucket[sel]),
             id_col: pa.array(np.asarray(ids)[doc]),
             feat_col: farr,
-            "__part": pa.array((bsel % P).astype(np.int32)),
         })
 
     def partition_pairs(g: pa.Table) -> pa.Table:
         return _partition_pairs_arrow(g, bucket_pairs, id_col, feat_col, fast2)
 
-    # Materialize the (dup-rate-sized) hot-row stream before the sort:
-    # Ray 2.49 chained map->Sort in ONE streaming plan measured 70-90s
-    # where sort-over-materialized-blocks takes ~12s on the same 2.6M
-    # rows (the same chained-sort pathology the graph supersteps
-    # checkpoint around, stages/graph.py). The stream is bounded by the
-    # duplicate rate (only collided-bucket rows), so pinning it in the
-    # object store is proportional to dups, not corpus.
-    hot_stream = ds.map_batches(
-        hot_rows, batch_format="pyarrow", batch_size=None
-    ).materialize()
-    pairs = (
-        hot_stream.groupby("__part")
-        .map_groups(partition_pairs, batch_format="pyarrow")
-        .to_pandas()
-    )
-    _prof(f"pair pass ({len(pairs)} pairs)", t0)
-    return pairs
+    # materialize_input: Ray 2.49 chained map->Sort in ONE streaming
+    # plan measured 70-90s where sort-over-materialized-blocks takes
+    # ~12s on the same 2.6M rows. The stream is bounded by the duplicate
+    # rate (only collided-bucket rows), so pinning it in the object
+    # store is proportional to dups, not corpus.
+    return grouped_map(
+        ds.map_batches(hot_rows, batch_format="pyarrow", batch_size=None),
+        "bucket", partition_pairs, num_buckets=P, batch_format="pyarrow",
+        materialize_input=True,
+    ).to_pandas()
 
 
 def _concat_aranges(cnt: np.ndarray) -> np.ndarray:
@@ -484,18 +457,17 @@ def _small_bucket_pairs_vec(
 def _partition_pairs_arrow(
     t: pa.Table, bucket_pairs, id_col: str, feat_col: str, fast2
 ) -> pa.Table:
-    """Arrow-native per-partition-group scan for the band_arrays path.
+    """Arrow-native scan of one pair-pass partition (many hot buckets).
 
-    The pandas map_groups variant (_partition_pairs_impl) boxes every
-    FixedSizeList feature row into its own numpy object — at 3M docs
-    the pair pass carries ~2.6M hot rows x 64-element signatures, and
-    the per-row boxing plus np.stack on object arrays measured as the
-    bulk of a 50s phase. Here the group arrives as an Arrow table, the
-    feature column converts zero-copy to ONE (n, d) matrix
-    (list_column_matrix), and both the size-2 fast path and the rare
-    >= 3-member fallback index into that matrix; output goes back out
-    as an Arrow block (pandas-format blocks measured ~10x slower
-    through downstream Ray ops)."""
+    A pandas map_groups scan boxes every FixedSizeList feature row into
+    its own numpy object — at 3M docs the pair pass carries ~2.6M hot
+    rows x 64-element signatures, and the per-row boxing plus np.stack
+    on object arrays measured as the bulk of a 50s phase. Here the
+    partition arrives as an Arrow table, the feature column converts
+    zero-copy to ONE (n, d) matrix (list_column_matrix), and both the
+    size-2 fast path and the rare >= 3-member fallback index into that
+    matrix; output goes back out as an Arrow block (pandas-format
+    blocks measured ~10x slower through downstream Ray ops)."""
     idtype = t.schema.field(id_col).type
     out_schema = pa.schema(
         [("a", idtype), ("b", idtype), ("est", pa.float64())]
@@ -533,7 +505,7 @@ def _partition_pairs_arrow(
         else:
             est2, keep2 = fast2
             chain_est = 1.0
-        # buckets containing duplicate input ids route to the pandas
+        # buckets containing duplicate input ids route to the per-bucket
         # fallback (ids are id-sorted within a bucket, so dup ids are
         # neighbors)
         eqprev = np.r_[False, ids_all[1:] == ids_all[:-1]]
@@ -583,137 +555,6 @@ def _partition_pairs_arrow(
     })
 
 
-def _partition_pairs_impl(g: pd.DataFrame, bucket_pairs, id_col: str, fast2) -> pd.DataFrame:
-    """Shared per-partition-group scan: vectorized size-2 fast path
-    (fast2=(est2, keep2)), per-bucket fallback for >=3-member or
-    dup-id buckets, and lossless (a, b) pair dedup before emission (a
-    true near-dup pair collides in many bands with band-independent
-    est)."""
-    g = g.drop(columns=["__part"])
-    outs = []
-    if fast2 is not None and len(g):
-        est2, keep2 = fast2
-        g = g.sort_values(["bucket", id_col], kind="stable")
-        b = g["bucket"].to_numpy()
-        starts = np.flatnonzero(np.r_[True, b[1:] != b[:-1]])
-        sizes = np.diff(np.r_[starts, len(b)])
-        ids_all = g[id_col].to_numpy()
-        two = sizes == 2
-        i0 = starts[two]
-        ok = ids_all[i0] != ids_all[i0 + 1]  # dup input ids -> fallback
-        if ok.any():
-            ra, rb = g.iloc[i0[ok]], g.iloc[i0[ok] + 1]
-            est = np.asarray(est2(ra, rb), dtype=float)
-            keep = keep2(est)
-            if keep.any():
-                a = ids_all[i0[ok]][keep]
-                bb = ids_all[i0[ok] + 1][keep]
-                outs.append(pd.DataFrame({
-                    "a": np.minimum(a, bb),
-                    "b": np.maximum(a, bb),
-                    "est": est[keep],
-                }))
-        fallback = np.concatenate([
-            np.flatnonzero(~two), np.flatnonzero(two)[~ok]
-        ])
-        for si in fallback:
-            s = starts[si]
-            outs.append(bucket_pairs(g.iloc[s : s + sizes[si]]))
-    else:
-        outs = [bucket_pairs(bdf) for _, bdf in g.groupby("bucket", sort=False)]
-    if not outs:
-        return pd.DataFrame({"a": [], "b": [], "est": []})
-    return pd.concat(outs, ignore_index=True).drop_duplicates(
-        subset=["a", "b"], ignore_index=True
-    )
-
-
-def _pairs_from_hot_buckets(
-    bands_ds, bucket_pairs, id_col: str, fast2=None
-) -> pd.DataFrame:
-    """Candidate pairs from LSH bucket rows, scalably.
-
-    fast2, when given, is (est2, keep2): est2(rows_a, rows_b) returns
-    the per-pair estimate for two aligned DataFrames of bucket members
-    and keep2(est) the boolean keep mask. It vectorizes the dominant
-    case — hot buckets with exactly TWO members — across a whole
-    partition group in one call (a 3M-doc corpus has ~400k hot buckets;
-    one pandas bucket_pairs call each measured ~90s of a 140s pipeline,
-    the size-2 path removes all but the rare >=3-member buckets).
-
-    A naive groupby(bucket).map_groups pays a per-group Python call for
-    EVERY bucket — almost all of which are singletons (5000 docs × 16
-    bands = 80k groups; 118s at sf0.1). And a Ray groupby(bucket).count()
-    is no better at corpus scale: its sort-based shuffle keys on ~one
-    distinct value per row (measured 25s of a 34s pipeline on 1.6M
-    bucket rows). Instead the count pass is a coarse hash-bucket fold:
-    per-batch np.unique partials (bucket, partial count) shuffle into
-    one partition group per CPU (tiny key cardinality, same bytes), each
-    group sums partials vectorized and emits only buckets with >= 2
-    members. The band stream is then re-derived and filtered to the hot
-    set with np.isin (broadcast small side); only collided buckets
-    reach map_groups. The band stream is recomputed rather than
-    materialized — at corpus scale recomputing cheap hashes beats
-    pinning O(corpus) band rows.
-    """
-    import ray
-
-    from .temporal import grouped_map
-
-    def count_partials(batch: pa.Table) -> pa.Table:
-        uniq, cnt = np.unique(batch["bucket"].to_numpy(), return_counts=True)
-        return pa.table({"bucket": pa.array(uniq), "c": pa.array(cnt)})
-
-    def hot_in_group(g: pa.Table) -> pa.Table:
-        b = g["bucket"].to_numpy()
-        order = np.argsort(b, kind="stable")
-        bs = b[order]
-        cs = g["c"].to_numpy()[order]
-        starts = np.flatnonzero(np.r_[True, bs[1:] != bs[:-1]])
-        totals = np.add.reduceat(cs, starts)
-        return pa.table({"bucket": pa.array(bs[starts][totals >= 2])})
-
-    partials = bands_ds.select_columns(["bucket"]).map_batches(
-        count_partials, batch_format="pyarrow"
-    )
-    hot = grouped_map(partials, "bucket", hot_in_group, batch_format="pyarrow")
-    hot_keys = np.sort(hot.to_pandas()["bucket"].to_numpy().astype(np.int64))
-    if len(hot_keys) == 0:
-        return pd.DataFrame({"a": [], "b": [], "est": []})
-
-    # ship the hot-key set via the object store: ONE shared copy read
-    # zero-copy by every task, instead of re-serializing a closure-captured
-    # array per task submission (unbounded on dup-heavy corpora)
-    hot_ref = ray.put(hot_keys)
-
-    # partition collided buckets into ~P coarse groups: map_groups then
-    # pays its per-call overhead P times, not once per bucket; the
-    # per-bucket work loops inside the call (plain pandas, no Ray).
-    # P scales with the number of collided buckets so each partition
-    # group stays ~1k buckets regardless of corpus duplication rate.
-    P = max(64, len(hot_keys) // 1024 + 1)
-
-    def only_hot(batch: pa.Table) -> pa.Table:
-        hk = ray.get(hot_ref)  # SORTED; searchsorted membership avoids
-        # np.isin's per-call re-sort of the full hot set on every batch
-        b = batch["bucket"].to_numpy()
-        pos = np.searchsorted(hk, b)
-        mask = (pos < len(hk)) & (hk[np.minimum(pos, len(hk) - 1)] == b)
-        t = batch.filter(pa.array(mask))
-        part = (t["bucket"].to_numpy() % P).astype(np.int32)
-        return t.append_column("__part", pa.array(part))
-
-    def partition_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        return _partition_pairs_impl(g, bucket_pairs, id_col, fast2)
-
-    return (
-        bands_ds.map_batches(only_hot, batch_format="pyarrow", batch_size=None)
-        .groupby("__part")
-        .map_groups(partition_pairs, batch_format="pandas")
-        .to_pandas()
-    )
-
-
 def _clusters_from_pairs(pairs: pd.DataFrame) -> pd.DataFrame:
     """Driver-side union-find over the (dup-rate-sized) candidate pair
     set. Vectorized min-label propagation: hook every edge's larger
@@ -725,7 +566,6 @@ def _clusters_from_pairs(pairs: pd.DataFrame) -> pd.DataFrame:
     that capped the measured N->4N scaling efficiency."""
     if not len(pairs):
         return pd.DataFrame({"id": [], "rep_id": [], "is_dup": []})
-    t0 = time.perf_counter()
     a = pairs["a"].to_numpy()
     b = pairs["b"].to_numpy()
     ids = np.unique(np.concatenate([a, b]))  # any orderable id type
@@ -746,7 +586,6 @@ def _clusters_from_pairs(pairs: pd.DataFrame) -> pd.DataFrame:
         if np.array_equal(parent, before):
             break
     reps = ids[parent]
-    _prof(f"cluster fold ({len(ids)} ids)", t0)
     return pd.DataFrame({"id": ids, "rep_id": reps, "is_dup": ids != reps})
 
 
@@ -1046,28 +885,19 @@ def dup_passages(
     one row per document with >= 1 shingle: (id, n_shingles, dup_frac).
 
     Scale shape: the corpus streams once through the vectorized shingle
-    kernel; only (id, shingle-hash) occurrence rows shuffle, co-located
-    by a data-sized hash bucket of the shingle so every equal shingle
-    meets in one group. Each group marks duplicates with one np.unique
+    kernel; only (id, shingle-hash) occurrence rows shuffle, co-grouped
+    by the shingle (`grouped_map`, data-sized B) so every equal shingle
+    meets in one bucket. Each group marks duplicates with one np.unique
     and pre-aggregates per document BEFORE the second (tiny) per-doc
     combine — the wide shuffle carries 16-byte rows, the narrow one
     O(docs) partials."""
     from ray.data.aggregate import Sum
 
-    if num_buckets is None:
-        num_buckets = default_buckets(ds)
-
     def to_occurrences(batch: pa.Table) -> pa.Table:
         sh, offsets = _shingle_hashes(batch[text_col].to_pylist(), shingle_words)
         counts = np.diff(offsets)
         ids = np.repeat(batch[id_col].to_numpy(zero_copy_only=False), counts)
-        return pa.table(
-            {
-                id_col: pa.array(ids),
-                "sh": pa.array(sh.view(np.int64)),
-                "__b": pa.array((sh % _U64(num_buckets)).view(np.int64)),
-            }
-        )
+        return pa.table({id_col: pa.array(ids), "sh": pa.array(sh.view(np.int64))})
 
     def mark_and_combine(g: pd.DataFrame) -> pa.Table:
         # emit ARROW blocks (typed even when empty): the downstream Ray
@@ -1097,10 +927,9 @@ def dup_passages(
             }
         )
 
-    partials = (
-        ds.map_batches(to_occurrences, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(mark_and_combine, batch_format="pandas")
+    partials = grouped_map(
+        ds.map_batches(to_occurrences, batch_format="pyarrow"), "sh", mark_and_combine,
+        num_buckets=num_buckets or default_buckets(ds),
     )
     per_doc = partials.groupby(id_col).aggregate(
         Sum("n_shingles", alias_name="n_shingles"), Sum("n_dup", alias_name="n_dup")
@@ -1199,39 +1028,21 @@ def dedup_against(
     """Incremental exact dedup: drop rows of ds_new whose content
     already appears in ds_old — the daily-shard-vs-historical-corpus
     shape, where the historical side is far too large to broadcast.
-    Both sides hash-partition on the content hash into SHARED
-    data-sized buckets (one all-to-all of (id, content) rows, nothing
-    materializes on the driver); within a bucket the probe is an isin
-    on the actual content, so hash collisions cannot drop a live row.
-    Both inputs must carry (id_col, content_col)."""
-    if num_buckets is None:
-        num_buckets = max(default_buckets(ds_new), default_buckets(ds_old))
+    Both sides co-group on the content hash through ONE
+    `fused_exchange` (data-sized buckets, nothing materializes on the
+    driver); within a bucket the probe is an is_in on the actual
+    content, so hash collisions cannot drop a live row. Both inputs
+    must carry (id_col, content_col)."""
 
-    def tag(is_new: bool):
-        def _t(batch: pa.Table) -> pa.Table:
-            h = pd.util.hash_array(
-                np.asarray(batch[content_col].to_pandas(), dtype=object),
-                hash_key=_HASH_KEY,
-            )
-            t = batch.select([id_col, content_col]).append_column(
-                "__cbucket", pa.array((h % num_buckets).astype(np.int64))
-            )
-            return t.append_column(
-                "__new", pa.array(np.full(len(t), is_new, dtype=bool))
-            )
+    def probe(new: pa.Table, old: pa.Table) -> pa.Table:
+        seen = pc.is_in(new[content_col], value_set=old[content_col].combine_chunks())
+        return new.filter(pc.invert(seen))
 
-        return _t
-
-    def probe(g: pd.DataFrame) -> pd.DataFrame:
-        new = g[g["__new"]]
-        old_content = g.loc[~g["__new"], content_col]
-        keep = new[~new[content_col].isin(old_content)]
-        return keep.drop(columns=["__cbucket", "__new"])
-
-    both = ds_new.map_batches(tag(True), batch_format="pyarrow").union(
-        ds_old.map_batches(tag(False), batch_format="pyarrow")
+    return fused_exchange(
+        ds_new.select_columns([id_col, content_col]),
+        ds_old.select_columns([id_col, content_col]),
+        content_col, probe, num_buckets=num_buckets,
     )
-    return both.groupby("__cbucket").map_groups(probe, batch_format="pandas")
 
 
 def source_contamination(
@@ -1247,14 +1058,11 @@ def source_contamination(
     their distinct-shingle sets — the data-mixing diagnostic for "are
     my sources secretly the same crawl". Scale shape: one streaming
     shingle pass emits per-batch-distinct (shingle-hash, source) cells
-    co-located by a data-sized hash bucket; each bucket resolves its
+    co-grouped by shingle (`grouped_map`); each bucket resolves its
     pair counts and per-source distinct partials locally (a self-merge
     over ≤ |sources| rows per shingle), and only O(sources²) partial
     cells reach the final aggregate. Documents never shuffle."""
     from ray.data.aggregate import Sum
-
-    if num_buckets is None:
-        num_buckets = default_buckets(ds)
 
     def to_cells(batch: pa.Table) -> pa.Table:
         sh, offsets = _shingle_hashes(batch[text_col].to_pylist(), shingle_words)
@@ -1263,13 +1071,8 @@ def source_contamination(
             np.asarray(batch[group_col].to_pandas(), dtype=object), counts
         )
         df = pd.DataFrame({"sh": sh.view(np.int64), "src": src}).drop_duplicates()
-        b = (df["sh"].to_numpy().view(np.uint64) % _U64(num_buckets)).view(np.int64)
         return pa.table(
-            {
-                "sh": pa.array(df["sh"].to_numpy()),
-                "src": pa.array(df["src"], pa.string()),
-                "__b": pa.array(b),
-            }
+            {"sh": pa.array(df["sh"].to_numpy()), "src": pa.array(df["src"], pa.string())}
         )
 
     def combine(g: pd.DataFrame) -> pa.Table:
@@ -1298,9 +1101,10 @@ def source_contamination(
         )
 
     agg = (
-        ds.map_batches(to_cells, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(combine, batch_format="pandas")
+        grouped_map(
+            ds.map_batches(to_cells, batch_format="pyarrow"), "sh", combine,
+            num_buckets=num_buckets or default_buckets(ds),
+        )
         .groupby(["source_a", "source_b"])
         .aggregate(
             Sum("shared", alias_name="shared_ngrams"),
@@ -1341,52 +1145,25 @@ def minhash_dedup_incremental(
     """Incremental MinHash+LSH near-dedup: flag docs of ds_new that are
     near-duplicates of ds_old (the daily-shard-vs-historical-index
     production shape; within-new duplicates are minhash_lsh_dedup's
-    job). BOTH corpora stream through the same signature/banding kernel
-    with a side tag; band buckets co-locate the two sides, the
-    hot-bucket prefilter skips singleton buckets, and only new×old
-    pairs are scored — the historical corpus never broadcasts and
-    never materializes. Returns one row per flagged new doc:
-    (doc_id, matched_id, est) with the best (highest-estimate,
-    then min-id) historical match. Ids must be globally unique
-    across the two inputs."""
-
-    def to_bands(is_new: bool):
-        def _t(batch: pa.Table) -> pa.Table:
-            texts = batch[text_col].to_pylist()
-            ids = batch[id_col].to_numpy(zero_copy_only=False)
-            sigs = minhash_signatures(texts, num_perm, seed=seed)
-            keys = _band_keys(sigs, bands)
-            n = len(texts)
-            band_id = np.tile(np.arange(bands, dtype=np.uint64), n)
-            with np.errstate(over="ignore"):
-                bucket = (
-                    keys.reshape(-1).view(_U64) * _U64(bands * 2 + 1) + band_id
-                ).view(np.int64)
-            rep = np.repeat(sigs.astype(np.int64), bands, axis=0)
-            sig_arr = pa.FixedSizeListArray.from_arrays(
-                pa.array(rep.reshape(-1)), num_perm
-            )
-            return pa.table(
-                {
-                    "bucket": pa.array(bucket),
-                    id_col: pa.array(np.repeat(ids, bands)),
-                    "sig": sig_arr,
-                    "__new": pa.array(np.full(n * bands, is_new)),
-                }
-            )
-
-        return _t
+    job). BOTH corpora stream into one signature table, the side flag
+    riding as one more signature column, and go through the same pair
+    scan as minhash_lsh_dedup: band buckets co-locate the two sides,
+    the hot-bucket prefilter skips singleton buckets, and only new×old
+    pairs are scored — the historical corpus never broadcasts. Returns
+    one row per flagged new doc: (doc_id, matched_id, est) with the
+    best (highest-estimate, then min-id) historical match. Ids must be
+    globally unique across the two inputs."""
 
     imax = np.iinfo(np.int64).max
 
     def bucket_hits(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({"a": [], "b": [], "est": []})
         g = g.drop_duplicates(subset=[id_col]).sort_values(id_col, kind="stable")
-        new_mask = g["__new"].to_numpy()
+        feat = np.stack(g["sig"].to_numpy())
+        sigs, new_mask = feat[:, :num_perm], feat[:, num_perm] == 1
         if not new_mask.any() or new_mask.all():
             return empty
         ids = g[id_col].to_numpy()
-        sigs = np.stack(g["sig"].to_numpy())
         # mega-bucket guard: collapse identical signatures first so the
         # quadratic scan runs over unique signatures only (O(k + u^2))
         uniq, inv = np.unique(sigs, axis=0, return_inverse=True)
@@ -1408,10 +1185,15 @@ def minhash_dedup_incremental(
             {"a": ids[rows], "b": match[inv[rows]], "est": best[inv[rows]]}
         )
 
-    both = ds_new.map_batches(to_bands(True), batch_format="pyarrow").union(
-        ds_old.map_batches(to_bands(False), batch_format="pyarrow")
+    new_sigs, old_sigs = (
+        ds.map_batches(_minhash_featurize(text_col, id_col, num_perm, seed, side=side),
+                       batch_format="pyarrow")
+        for ds, side in ((ds_new, 1), (ds_old, 0))
     )
-    hits = _pairs_from_hot_buckets(both, bucket_hits, id_col)
+    sig_ds = new_sigs.union(old_sigs).materialize()
+    hits = _pairs_from_band_arrays(
+        sig_ds, _minhash_band_arrays(id_col, num_perm, bands), "sig", bands, bucket_hits, id_col
+    )
     if not len(hits):
         return pd.DataFrame(
             {"doc_id": pd.Series([], dtype=np.int64),
@@ -1433,26 +1215,13 @@ def sequence_dedup(ds, *, tokens_col: str = "tokens", id_col: str = "doc_id", nu
     array, with the group size — the per-row token-array-equality
     invariant turned into a dedup operator. Each batch encodes its list
     column to flat bytes (arrowutil.list_to_binary, no per-row Python),
-    hash-buckets the bytes, and the per-bucket resolve groups on the
-    ACTUAL byte sequence, so hash collisions cannot merge two distinct
-    sequences."""
+    co-groups rows by the bytes (`grouped_map`), and the per-bucket
+    resolve groups on the ACTUAL byte sequence, so hash collisions
+    cannot merge two distinct sequences."""
     from .arrowutil import list_to_binary
 
-    if num_buckets is None:
-        num_buckets = default_buckets(ds)
-
     def prep(batch: pa.Table) -> pa.Table:
-        seq = list_to_binary(batch[tokens_col])
-        h = pd.util.hash_array(
-            np.asarray(seq.to_pandas(), dtype=object), hash_key=_HASH_KEY
-        )
-        return pa.table(
-            {
-                id_col: batch[id_col],
-                "seq": seq,
-                "__b": pa.array((h % num_buckets).astype(np.int64)),
-            }
-        )
+        return pa.table({id_col: batch[id_col], "seq": list_to_binary(batch[tokens_col])})
 
     def resolve(g: pd.DataFrame) -> pd.DataFrame:
         # dropna=False: a null token list is its own group (distinct
@@ -1462,10 +1231,9 @@ def sequence_dedup(ds, *, tokens_col: str = "tokens", id_col: str = "doc_id", nu
         )
         return agg.reset_index(drop=True)
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(resolve, batch_format="pandas")
+    return grouped_map(
+        ds.map_batches(prep, batch_format="pyarrow"), "seq", resolve,
+        num_buckets=num_buckets or default_buckets(ds),
     )
 
 
@@ -1486,13 +1254,12 @@ def remove_dup_spans(
     single spaces (output text is whitespace-normalized).
 
     Scale shape — two data-sized exchanges, documents never collect on
-    the driver: (1) (shingle-hash, doc, pos) occurrence rows co-locate
-    by shingle bucket; each group keeps its first occurrence and emits
-    the rest as 16-byte cut rows. (2) cut rows co-locate with their
-    documents by a doc-hash bucket; each group unions its cut intervals
-    into a word mask and rebuilds the text."""
-    if num_buckets is None:
-        num_buckets = default_buckets(ds)
+    the driver: (1) (shingle-hash, doc, pos) occurrence rows co-group
+    by shingle (`grouped_map`); each bucket keeps its first occurrence
+    and emits the rest as 16-byte cut rows. (2) cut rows meet their
+    documents by doc id (`fused_exchange`); each bucket unions its cut
+    intervals into a word mask and rebuilds the text."""
+    B = num_buckets or default_buckets(ds)
 
     def occurrences(batch: pa.Table) -> pa.Table:
         texts = batch[text_col].to_pylist()
@@ -1501,12 +1268,7 @@ def remove_dup_spans(
         ids = np.repeat(batch[id_col].to_numpy(zero_copy_only=False), counts)
         pos = np.arange(len(sh), dtype=np.int64) - np.repeat(offsets[:-1], counts)
         return pa.table(
-            {
-                "sh": pa.array(sh.view(np.int64)),
-                id_col: pa.array(ids),
-                "pos": pa.array(pos),
-                "__b": pa.array((sh % _U64(num_buckets)).view(np.int64)),
-            }
+            {"sh": pa.array(sh.view(np.int64)), id_col: pa.array(ids), "pos": pa.array(pos)}
         )
 
     def cuts_for_bucket(g: pd.DataFrame) -> pa.Table:
@@ -1525,42 +1287,35 @@ def remove_dup_spans(
             }
         )
 
-    cuts = (
-        ds.map_batches(occurrences, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(cuts_for_bucket, batch_format="pandas")
+    cuts = grouped_map(
+        ds.map_batches(occurrences, batch_format="pyarrow"), "sh", cuts_for_bucket,
+        num_buckets=B,
     )
 
-    # co-locate documents with their cut lists by doc-hash bucket
-    def tag_doc(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        b = (ids.astype(np.uint64) % _U64(num_buckets)).astype(np.int64)
+    # both sides of the doc-id exchange carry (id, text, pos): documents
+    # with a null pos, cut rows with a null text
+    def pad_doc(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
                 id_col: batch[id_col],
                 text_col: pa.array(
                     pd.Series(batch[text_col].to_pandas()).fillna(""), type=pa.string()
                 ),
-                "pos": pa.array(np.full(len(ids), -1, dtype=np.int64)),
-                "__b": pa.array(b),
+                "pos": pa.nulls(batch.num_rows, pa.int64()),
             }
         )
 
-    def tag_cut(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        b = (ids.astype(np.uint64) % _U64(num_buckets)).astype(np.int64)
+    def pad_cut(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
                 id_col: batch[id_col],
-                text_col: pa.array([None] * len(ids), type=pa.string()),
+                text_col: pa.nulls(batch.num_rows, pa.string()),
                 "pos": batch["pos"],
-                "__b": pa.array(b),
             }
         )
 
-    def rebuild(g: pd.DataFrame) -> pa.Table:
-        docs = g[g["pos"] < 0]
-        cut = g[g["pos"] >= 0]
+    def rebuild(docs: pa.Table, cut: pa.Table) -> pa.Table:
+        docs, cut = docs.to_pandas(), cut.to_pandas()
         cut_by_doc = {k: v["pos"].to_numpy() for k, v in cut.groupby(id_col, sort=False)}
         out_id, out_txt, out_n = [], [], []
         k = shingle_words
@@ -1586,10 +1341,11 @@ def remove_dup_spans(
             }
         )
 
-    both = ds.map_batches(tag_doc, batch_format="pyarrow").union(
-        cuts.map_batches(tag_cut, batch_format="pyarrow")
+    return fused_exchange(
+        ds.map_batches(pad_doc, batch_format="pyarrow"),
+        cuts.map_batches(pad_cut, batch_format="pyarrow"),
+        id_col, rebuild, num_buckets=B,
     )
-    return both.groupby("__b").map_groups(rebuild, batch_format="pandas")
 
 
 def ngram_novelty(

@@ -169,23 +169,30 @@ def _exchange(inputs, key, fn, B: int, batch_format, materialize_input=False):
     and fused_exchange (two, `fn(first_rows, second_rows)`). Each input
     tags its rows with their key's bucket (and, with two inputs, its
     side) in its own map, before the union: a tag added after the union
-    would be one more task per block."""
+    would be one more task per block. Both the tagged input and the
+    callback's output drop their schema metadata: Parquet written from
+    pandas carries a `pandas` dict there, and Ray cannot hash such a
+    schema when it dedups block schemas."""
     cols = key if isinstance(key, (list, tuple)) else [key]
     tags = ["__gm_bucket", "__fx_side"]
 
     def tagger(side: int):
         def tag(batch: pa.Table) -> pa.Table:
             bucket = bucket_of([batch[c] for c in cols], B)
+            batch = batch.replace_schema_metadata(None)
             return batch.append_column("__gm_bucket", pa.array(bucket)).append_column(
                 "__fx_side", pa.array(np.full(batch.num_rows, side, np.int8)))
         return tag
 
     def run(g):
         if len(inputs) == 1:
-            return fn(g.drop(columns=tags) if hasattr(g, "drop") else g.drop_columns(tags))
-        second_rows = pc.equal(g["__fx_side"], 1)
-        g = g.drop_columns(tags)
-        return fn(g.filter(pc.invert(second_rows)), g.filter(second_rows))
+            out = fn(g.drop(columns=tags) if hasattr(g, "drop") else g.drop_columns(tags))
+        else:
+            second_rows = pc.equal(g["__fx_side"], 1)
+            g = g.drop_columns(tags)
+            out = fn(g.filter(pc.invert(second_rows)), g.filter(second_rows))
+        # a callback's pa.Table.from_pandas output carries the same dict
+        return out.replace_schema_metadata(None) if isinstance(out, pa.Table) else out
 
     tagged = [ds.map_batches(tagger(i), batch_format="pyarrow") for i, ds in enumerate(inputs)]
     both = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]

@@ -174,7 +174,7 @@ def tfidf_sum(ds, *, text_col: str = "text", id_col: str = "doc_id", num_buckets
 
     Scale shape: each document contributes (id, word-hash, tf) rows
     (distinct words only, computed in one vectorized explode+groupby per
-    batch); rows co-locate by a data-sized hash bucket of the WORD, so
+    batch); rows co-group by WORD (`grouped_map`, data-sized B), so
     every bucket holds each word's complete posting list and computes
     exact df locally — no global vocabulary table, no broadcast. Each
     bucket pre-aggregates per document before the second (narrow,
@@ -184,9 +184,8 @@ def tfidf_sum(ds, *, text_col: str = "text", id_col: str = "doc_id", num_buckets
 
     from .bucketing import default_buckets
     from .dedup import _hash_words
+    from .temporal import grouped_map
 
-    if num_buckets is None:
-        num_buckets = default_buckets(ds)
     n_docs = float(ds.count())
 
     def to_tf(batch: pa.Table) -> pa.Table:
@@ -199,7 +198,6 @@ def tfidf_sum(ds, *, text_col: str = "text", id_col: str = "doc_id", num_buckets
                     id_col: pa.array([], type=batch[id_col].type),
                     "wh": pa.array([], type=pa.int64()),
                     "tf": pa.array([], type=pa.int64()),
-                    "__b": pa.array([], type=pa.int64()),
                 }
             )
         wh = _hash_words(ex.to_numpy(dtype=object))
@@ -210,9 +208,6 @@ def tfidf_sum(ds, *, text_col: str = "text", id_col: str = "doc_id", num_buckets
                 id_col: pa.array(ids[tf["r"].to_numpy()]),
                 "wh": pa.array(tf["wh"].to_numpy()),
                 "tf": pa.array(tf["tf"].to_numpy(dtype=np.int64)),
-                "__b": pa.array(
-                    (tf["wh"].to_numpy().view(np.uint64) % np.uint64(num_buckets)).view(np.int64)
-                ),
             }
         )
 
@@ -234,10 +229,9 @@ def tfidf_sum(ds, *, text_col: str = "text", id_col: str = "doc_id", num_buckets
             }
         )
 
-    partials = (
-        ds.map_batches(to_tf, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(weigh, batch_format="pandas")
+    partials = grouped_map(
+        ds.map_batches(to_tf, batch_format="pyarrow"), "wh", weigh,
+        num_buckets=num_buckets or default_buckets(ds),
     )
     per_doc = partials.groupby(id_col).aggregate(Sum("tfidf_part", alias_name="tfidf_sum"))
 
@@ -1227,25 +1221,26 @@ def blocked_fuzzy_join(
     side replicates into the 2k+1 adjacent length blocks and every true
     match co-locates in one hash bucket — no recall loss. Per bucket,
     each length block pays one row-batched Wagner-Fischer DP against
-    its sorted candidate set. Returns matched left rows only:
+    its sorted candidate set. Both sides meet in ONE `fused_exchange`
+    on the length block. Returns matched left rows only:
     (left_id, left_col, best_match, dist), ties to the
     lexicographically smallest candidate."""
-    from .temporal import grouped_map
+    from .temporal import fused_exchange
 
     k = int(max_dist)
 
-    def tag_left(batch: pa.Table) -> pa.Table:
+    # both sides carry (__blk, __val, left_id); right rows have no id
+    def block_left(batch: pa.Table) -> pa.Table:
         s = pd.Series(batch[left_col].to_pandas()).fillna("")
         return pa.table(
             {
                 "__blk": pa.array(s.str.len().to_numpy().astype(np.int64)),
-                "__side": pa.array(np.zeros(len(s), dtype=np.int8)),
                 "__val": pa.array(s.to_numpy(dtype=object), type=pa.string()),
                 left_id: batch[left_id],
             }
         )
 
-    def tag_right(batch: pa.Table) -> pa.Table:
+    def block_right(batch: pa.Table) -> pa.Table:
         s = pd.Series(batch[right_col].to_pandas()).fillna("")
         lens = s.str.len().to_numpy().astype(np.int64)
         vals = s.to_numpy(dtype=object)
@@ -1260,36 +1255,33 @@ def blocked_fuzzy_join(
         return pa.table(
             {
                 "__blk": pa.array(blk),
-                "__side": pa.array(np.ones(len(blk), dtype=np.int8)),
                 "__val": pa.array(val, type=pa.string()),
                 left_id: pa.array(np.full(len(blk), -1, dtype=np.int64)),
             }
         )
 
-    both = left_ds.map_batches(tag_left, batch_format="pyarrow").union(
-        right_ds.map_batches(tag_right, batch_format="pyarrow")
-    )
-
-    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
+    def per_bucket(left: pa.Table, right: pa.Table) -> pd.DataFrame:
+        lb, rb = left["__blk"].to_numpy(), right["__blk"].to_numpy()
+        lv = left["__val"].to_numpy(zero_copy_only=False)
+        rv = right["__val"].to_numpy(zero_copy_only=False)
+        ids = left[left_id].to_numpy(zero_copy_only=False)
         outs = []
-        for _blk, g in df.groupby("__blk", sort=False):
-            lefts = g[g["__side"] == 0]
-            cands = sorted(set(g.loc[g["__side"] == 1, "__val"]))
-            if not len(lefts) or not cands:
+        for blk in np.unique(lb):
+            cands = sorted(set(rv[rb == blk]))
+            if not cands:
                 continue
-            dmat = levenshtein_to_candidates(
-                lefts["__val"].reset_index(drop=True), cands
-            )
+            rows = np.flatnonzero(lb == blk)
+            dmat = levenshtein_to_candidates(pd.Series(lv[rows]), cands)
             best = dmat.argmin(axis=1)
-            dist = dmat[np.arange(len(lefts)), best]
+            dist = dmat[np.arange(len(rows)), best]
             ok = dist <= k
             if not ok.any():
                 continue
             outs.append(
                 pd.DataFrame(
                     {
-                        left_id: lefts[left_id].to_numpy()[ok],
-                        left_col: lefts["__val"].to_numpy()[ok],
+                        left_id: ids[rows][ok],
+                        left_col: lv[rows][ok],
                         "best_match": np.asarray(cands, dtype=object)[best[ok]],
                         "dist": dist[ok].astype(np.int64),
                     }
@@ -1306,7 +1298,11 @@ def blocked_fuzzy_join(
             )
         return pd.concat(outs, ignore_index=True)
 
-    return grouped_map(both, "__blk", per_bucket, num_buckets=num_buckets)
+    return fused_exchange(
+        left_ds.map_batches(block_left, batch_format="pyarrow"),
+        right_ds.map_batches(block_right, batch_format="pyarrow"),
+        "__blk", per_bucket, num_buckets=num_buckets,
+    )
 
 
 def build_vocab(ds, *, text_col: str = "text"):

@@ -7,17 +7,16 @@ import pyarrow as pa
 import pytest
 import ray.data
 
-from complexity_driven_feature_construction_ray.stages import (
+from complexity_driven_feature_construction_ray.stages.dedup import (
     embedding_dedup,
     exact_dedup,
-    knn_bruteforce,
-    knn_ivf,
     minhash_lsh_dedup,
     minhash_signatures,
     ngram_jaccard,
     simhash_dedup,
-    text_analysis_dataset,
 )
+from complexity_driven_feature_construction_ray.stages.similarity import knn_bruteforce, knn_ivf
+from complexity_driven_feature_construction_ray.stages.text import text_analysis_dataset
 from complexity_driven_feature_construction_ray.stages.multimodal import (
     decode_pipeline,
     synthetic_media_table,
@@ -182,7 +181,7 @@ class TestTextAnalysis:
     def test_langid_heuristic_on_real_snippets(self, ray_session):
         import pyarrow as pa
 
-        from complexity_driven_feature_construction_ray.stages import LanguageId
+        from complexity_driven_feature_construction_ray.stages.text import LanguageId
 
         snippets = {
             "en": "the cat sat on the mat and it was happy with the result of it",

@@ -675,6 +675,28 @@ class TestRemoveDupSpans:
             assert row["text"] == exp[i][0], (i, row["text"])
             assert row["n_removed"] == exp[i][1], (i, row["n_removed"])
 
+    def test_strided_doc_ids_match_the_unbucketed_answer(self, ray_session):
+        # doc ids 4*i at B=4 share a stride with the bucket count: a
+        # `doc_id % B` bucket would put every document in one bucket
+        from complexity_driven_feature_construction_ray.stages.dedup import remove_dup_spans
+
+        rng = np.random.default_rng(3)
+        vocab = np.array([f"w{i}" for i in range(30)])
+        texts = [" ".join(rng.choice(vocab, 12)) for _ in range(40)]
+        texts[17] = texts[30] = texts[5]  # whole-document duplicates
+        texts[22] = texts[9] + " " + texts[2]  # duplicated passages
+        ds = _docs_ds(
+            {"doc_id": 4 * np.arange(40, dtype=np.int64), "text": np.array(texts, dtype=object)}
+        ).repartition(3)
+
+        def run(num_buckets):
+            out = remove_dup_spans(ds, shingle_words=5, num_buckets=num_buckets).to_pandas()
+            return out.sort_values("doc_id").reset_index(drop=True)
+
+        got = run(4)
+        assert got["n_removed"].sum() > 0
+        pd.testing.assert_frame_equal(got, run(1))
+
 
 class TestCurationPipeline:
     def test_stage_invariants_at_sf0001(self, ray_session):

@@ -225,15 +225,35 @@ def test_relational_queries_do_not_inline_the_fold_or_the_header_probe():
 
 def test_temporal_partition_and_relational_exchange_only_through_grouped_map():
     # the exchange behind grouped_map and fused_exchange is the one
-    # place that tags rows with a bucket and groups by it, and the
-    # as-of attach has one cursor (_asof_match)
+    # place that tags rows with a bucket and groups by it, in the
+    # temporal, partition, relational, dedup and text stages; the as-of
+    # attach has one cursor (_asof_match)
     import inspect
     import re
 
     from complexity_driven_feature_construction_ray.pipelines import relational
-    from complexity_driven_feature_construction_ray.stages import partition, temporal
+    from complexity_driven_feature_construction_ray.stages import (
+        dedup,
+        embedding,
+        graph,
+        packing,
+        partition,
+        temporal,
+        text,
+    )
 
-    for mod in (temporal, partition, relational):
+    # exchanges left out of the rule, one line why each
+    out_of_scope = {
+        (graph, "connected_components"): "its unions already feed grouped_map(materialize_input=True)",
+        (packing, "packed_layout"): "an id-range layout: a range partition, not a hash",
+        (embedding, "semdedup"): "groups by k-means cluster, not by a hash bucket",
+    }
+    for (mod, name), why in out_of_scope.items():
+        assert hasattr(mod, name), (mod.__name__, name, why)
+    # a plain concatenation of one pair scan's input, not an exchange
+    plain_unions = {(dedup, "minhash_dedup_incremental")}
+
+    for mod in (temporal, partition, relational, dedup, text):
         src = inspect.getsource(mod)
         if mod is temporal:
             exchange = inspect.getsource(temporal._exchange)
@@ -242,3 +262,32 @@ def test_temporal_partition_and_relational_exchange_only_through_grouped_map():
         assert not re.findall(r"""\.groupby\(\s*\[?\s*["']__""", src), mod.__name__
         assert not re.findall(r"merge_asof\s*\(", src), mod.__name__
         assert "_bucket_of" not in src and "_hash_mod" not in src, mod.__name__
+        assert not re.findall(r"%\s*(?:np\.uint64\(|_U64\()?\s*num_buckets", src), mod.__name__
+        if mod in (dedup, text):
+            for name, fn in inspect.getmembers(mod, inspect.isfunction):
+                if fn.__module__ == mod.__name__ and ".union(" in inspect.getsource(fn):
+                    assert (mod, name) in plain_unions, (mod.__name__, name)
+    assert not hasattr(dedup, "_pairs_from_hot_buckets")
+    assert not hasattr(dedup, "_partition_pairs_impl")
+
+
+def test_grouped_map_callback_can_hash_the_schema_of_pandas_written_parquet(tmp_path):
+    # Parquet written from pandas carries a `pandas` dict in its schema
+    # metadata, and pa.Schema.__hash__ raises on it; Ray hashes block
+    # schemas to dedup them, so the exchange drops the metadata of its
+    # input and of a callback's pa.Table.from_pandas output
+    for i in range(4):
+        pd.DataFrame({"k": np.arange(i * 50, i * 50 + 50), "v": 1.0}).to_parquet(
+            tmp_path / f"part{i}.parquet")
+    ds = ray.data.read_parquet(str(tmp_path))
+    assert ds.schema().base_schema.metadata
+
+    def hashed(g: pa.Table) -> pa.Table:
+        hash(g.schema)
+        return pa.Table.from_pandas(pd.DataFrame({"n": [g.num_rows]}))
+
+    out = grouped_map(ds, "k", hashed, num_buckets=4, batch_format="pyarrow").materialize()
+    blocks = [ray.get(ref) for ref in out.to_arrow_refs()]
+    assert sum(b["n"].to_numpy().sum() for b in blocks if b.num_rows) == 200
+    for b in blocks:
+        hash(b.schema)

@@ -14,16 +14,12 @@ from complexity_driven_feature_construction_ray.functions import (
     unary,
 )
 from complexity_driven_feature_construction_ray.sources import token_table_arrow
-from complexity_driven_feature_construction_ray.stages import (
-    FeatureBackfill,
-    backfill_dataset,
-    base_features_from_stats,
-    column_stats,
-    fit_distributed,
-    token_stats_dataset,
-)
+from complexity_driven_feature_construction_ray.stages.backfill import FeatureBackfill, backfill_dataset
+from complexity_driven_feature_construction_ray.stages.fit import fit_distributed
+from complexity_driven_feature_construction_ray.stages.stats import base_features_from_stats, column_stats
 from complexity_driven_feature_construction_ray.stages.token_stats import (
     token_stats_arrays,
+    token_stats_dataset,
 )
 
 

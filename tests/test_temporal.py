@@ -6,7 +6,7 @@ import pytest
 import ray.data
 
 from complexity_driven_feature_construction_ray.sources import token_table_arrow
-from complexity_driven_feature_construction_ray.stages import (
+from complexity_driven_feature_construction_ray.stages.temporal import (
     asof_join,
     lag_lead,
     sessionize,
