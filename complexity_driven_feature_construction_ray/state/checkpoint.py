@@ -2,41 +2,70 @@
 
 The reference's only persistence is write-only per-layer pickle dumps
 with no resume path (reference ComplexityDrivenFeatureConstruction.py:
-632-654; SURVEY.md §4 "Checkpoint/resume: none"). Here resumability is
-first-class (BASELINE.md gate): output is laid out one directory per
-input shard, written atomically (tmp dir + rename), with a
-`_lineage.json` per shard recording the input fingerprint, plan hash,
-row counts and stage metrics. A restarted run revalidates each shard's
-lineage and skips completed shards without recomputation.
+632-654; SURVEY.md §4 "Checkpoint/resume: none"). Here output is laid
+out one directory per input shard, published atomically (tmp dir +
+rename) with a `_lineage.json` recording the input fingerprint (path,
+size, mtime), the plan hash (feature names, fitted values), row counts
+and stage metrics; a rerun skips shards whose lineage still matches.
+All pending shards run as ONE Ray Data execution whose last stage
+writes each shard's rows; the driver commits a shard as soon as all of
+its rows are written, so a kill loses only the shards still in flight.
 """
 
 from __future__ import annotations
 
+import functools
+import glob
 import hashlib
+import itertools
 import json
 import os
 import re
 import shutil
 import time
+import uuid
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+
+
+def _feed(h, v) -> None:
+    """Hash `v` by value, the same in every process: numeric arrays by
+    dtype, shape and bytes, object and string arrays element by element,
+    containers item by item (dicts in key order), the rest by repr."""
+    if isinstance(v, (np.ndarray, np.generic)):
+        a = np.asarray(v)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        if a.dtype.kind not in "OSU":
+            return h.update(np.ascontiguousarray(a).tobytes())
+        v = a.ravel().tolist()
+    if isinstance(v, dict):
+        v = sorted(v.items(), key=lambda kv: repr(kv[0]))
+    if isinstance(v, (tuple, list)):
+        h.update(f"{type(v).__name__}{len(v)}".encode())
+        for x in v:
+            _feed(h, x)
+    else:
+        r = repr(v).encode()
+        h.update(f"{type(v).__name__}{len(r)}:".encode() + r)
+
+
+def _digest(v) -> str:
+    h = hashlib.blake2b(digest_size=16)
+    _feed(h, v)
+    return h.hexdigest()
 
 
 def plan_fingerprint(features, fitted) -> str:
-    """Stable hash of the feature plan + fitted-state identity."""
-    h = hashlib.blake2b(digest_size=16)
-    for f in sorted(f.name for f in features):
-        h.update(f.encode())
-    for k in sorted(fitted):
-        h.update(k.encode())
-    return h.hexdigest()
+    """Stable hash of the feature names + the fitted values."""
+    return _digest((sorted(f.name for f in features), fitted))
 
 
 def _input_fingerprint(files: list[str]) -> str:
-    h = hashlib.blake2b(digest_size=16)
-    for f in sorted(files):
-        st = os.stat(f)
-        h.update(f.encode())
-        h.update(str(st.st_size).encode())
-    return h.hexdigest()
+    stats = [(f, os.stat(f)) for f in sorted(files)]
+    return _digest([(f, st.st_size, st.st_mtime_ns) for f, st in stats])
 
 
 _OP_STATS_RE = re.compile(
@@ -91,13 +120,6 @@ class LineageStore:
         except (OSError, json.JSONDecodeError, KeyError):
             return False
 
-    def read(self, shard: int) -> dict | None:
-        try:
-            with open(self.lineage_path(shard)) as fh:
-                return json.load(fh)
-        except OSError:
-            return None
-
     def commit(self, shard: int, tmp_dir: str, record: dict) -> None:
         """Atomic publish: tmp dir -> shard dir, then the lineage record."""
         final = self.shard_dir(shard)
@@ -107,6 +129,26 @@ class LineageStore:
         with open(self.lineage_path(shard) + ".tmp", "w") as fh:
             json.dump(record, fh, indent=1)
         os.rename(self.lineage_path(shard) + ".tmp", self.lineage_path(shard))
+
+
+_MANIFEST = pa.schema([("shard", pa.int64()), ("rows", pa.int64()), ("file", pa.string())])
+
+
+def _write_shards(batch: pa.Table, *, shard_of, tmp_of) -> pa.Table:
+    """Split a backfilled batch by the shard of each row's `path`, write
+    each part into its shard's tmp dir, and return the (shard, rows,
+    file) manifest."""
+    written = []
+    if batch.num_rows:
+        paths = pc.dictionary_encode(batch["path"].combine_chunks())
+        codes = np.array([shard_of[p] for p in paths.dictionary.to_pylist()])
+        shard = codes[paths.indices.to_numpy()]
+        batch = batch.drop_columns(["path"])
+        for s in np.unique(shard).tolist():
+            part, name = batch.filter(pa.array(shard == s)), f"{uuid.uuid4().hex}.parquet"
+            pq.write_table(part, os.path.join(tmp_of[s], name))
+            written.append({"shard": s, "rows": part.num_rows, "file": name})
+    return pa.Table.from_pylist(written, schema=_MANIFEST)
 
 
 def resumable_backfill(
@@ -123,75 +165,87 @@ def resumable_backfill(
 ) -> dict:
     """Backfill `features` over the Parquet `input_files`, resumably.
 
-    Files are grouped into `num_shards` shards; each shard streams
-    through token-stats + FeatureBackfill tasks and publishes
-    atomically with a lineage record. Completed shards (matching input
-    + plan fingerprints) are skipped on rerun. `stop_after_shards` is a
-    test hook simulating a mid-run kill after N shards.
+    Files are grouped into `num_shards` shards. Shards whose lineage
+    matches their input + plan fingerprints are skipped; the rest stream
+    through token-stats + FeatureBackfill tasks in one Ray Data
+    execution. A shard commits (rename, then lineage record) as soon as
+    its written rows reach its input row count from the Parquet footers;
+    a shard still short when the stream ends raises and never commits.
+    A record's `seconds` is run start -> commit and its `stage_metrics`
+    are the run's operator stats at commit. `stop_after_shards=N`, a
+    test hook simulating a mid-run kill, computes only the first N
+    pending shards.
     """
     import ray.data
 
     from ..stages.backfill import backfill_dataset
     from ..stages.token_stats import token_stats_dataset
 
+    t0 = time.time()
     store = LineageStore(out_dir)
     plan_fp = plan_fingerprint(features, fitted)
     shards = [sorted(input_files)[i::num_shards] for i in range(num_shards)]
     shards = [s for s in shards if s]
-
-    done, skipped = [], []
-    for i, files in enumerate(shards):
-        if stop_after_shards is not None and len(done) >= stop_after_shards:
-            break
-        input_fp = _input_fingerprint(files)
-        if store.is_complete(i, input_fp, plan_fp):
-            skipped.append(i)
-            continue
-        t0 = time.time()
-        ds = ray.data.read_parquet(files)
-        out = backfill_dataset(
-            token_stats_dataset(ds),
-            features,
-            fitted,
-            concurrency=concurrency,
-            batch_size=batch_size,
-            keep_input=keep_input,
-        )
-        # pid-suffixed tmp dir + stale sweep. The suffix keeps THIS
-        # run's cleanup from deleting another live writer's in-progress
-        # tmp; the glob sweep reclaims shard-sized leftovers of KILLED
-        # runs (otherwise they leak forever under new pids). Ownership
-        # contract: one writer per out_dir at a time — commit() is
-        # last-writer-wins (rmtree + rename), so concurrent writers to
-        # the same out_dir must be serialized by the caller.
-        import glob
-
+    input_fps = [_input_fingerprint(files) for files in shards]
+    skipped = [i for i, fp in enumerate(input_fps) if store.is_complete(i, fp, plan_fp)]
+    todo = [i for i in range(len(shards)) if i not in skipped][:stop_after_shards]
+    done: list[int] = []
+    report = {"shards": len(shards), "computed": done, "skipped": skipped, "plan_fingerprint": plan_fp}
+    if not todo:
+        return report
+    # pid-suffixed tmp dirs + stale sweep: the suffix keeps this run
+    # from deleting another live writer's tmp; the sweep reclaims the
+    # leftovers of killed runs. One writer per out_dir at a time:
+    # commit() is last-writer-wins (rmtree + rename).
+    tmp_of = {i: store.shard_dir(i) + f".tmp-{os.getpid()}" for i in todo}
+    for i in todo:
         for stale in glob.glob(store.shard_dir(i) + ".tmp-*"):
             shutil.rmtree(stale, ignore_errors=True)
-        tmp = store.shard_dir(i) + f".tmp-{os.getpid()}"
-        out.write_parquet(tmp)
-        # row count from the written files' metadata — no extra data pass
-        import pyarrow.parquet as pq
-
-        n_rows = sum(
-            pq.read_metadata(os.path.join(tmp, f)).num_rows
-            for f in os.listdir(tmp)
-            if f.endswith(".parquet")
-        )
-        store.commit(
-            i,
-            tmp,
-            {
-                "shard": i,
-                "input_files": files,
-                "input_fingerprint": input_fp,
-                "plan_fingerprint": plan_fp,
-                "n_features": len(features),
-                "rows": n_rows,
-                "seconds": round(time.time() - t0, 3),
-                "stage_metrics": stage_metrics(out),
-                "completed_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            },
-        )
-        done.append(i)
-    return {"shards": len(shards), "computed": done, "skipped": skipped, "plan_fingerprint": plan_fp}
+        os.makedirs(tmp_of[i])
+    # files in shard order, so shards complete one after another
+    shard_of = {f: i for i in todo for f in shards[i]}
+    expect = {i: sum(pq.read_metadata(f).num_rows for f in shards[i]) for i in todo}
+    out = backfill_dataset(
+        token_stats_dataset(ray.data.read_parquet(list(shard_of), include_paths=True)),
+        features,
+        fitted,
+        concurrency=concurrency,
+        batch_size=batch_size,
+        keep_input=keep_input,
+    ).map_batches(
+        functools.partial(_write_shards, shard_of=shard_of, tmp_of=tmp_of),
+        batch_format="pyarrow",
+        batch_size=None,
+        concurrency=concurrency,  # the backfill's, so the two stages fuse
+    )
+    rows, files = dict.fromkeys(todo, 0), {i: set() for i in todo}
+    stream = out.iter_batches(batch_format="pyarrow", batch_size=None)
+    for m in itertools.chain(stream, [_MANIFEST.empty_table()]):  # last: 0-row shards
+        for i, n, f in zip(*(m[c].to_pylist() for c in _MANIFEST.names)):
+            rows[i] += n
+            files[i].add(f)
+        for i in [i for i in todo if i not in done and rows[i] == expect[i]]:
+            # a retried writer task may have left files no manifest names
+            for f in set(os.listdir(tmp_of[i])) - files[i]:
+                os.remove(os.path.join(tmp_of[i], f))
+            store.commit(
+                i,
+                tmp_of[i],
+                {
+                    "shard": i,
+                    "input_files": shards[i],
+                    "input_fingerprint": input_fps[i],
+                    "plan_fingerprint": plan_fp,
+                    "n_features": len(features),
+                    "rows": rows[i],
+                    "seconds": round(time.time() - t0, 3),
+                    "stage_metrics": stage_metrics(out),
+                    "completed_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+                },
+            )
+            done.append(i)
+    short = {i: (rows[i], expect[i]) for i in todo if i not in done}
+    if short:
+        raise RuntimeError(f"shards not committed, (written, expected) rows: {short}")
+    done.sort()
+    return report

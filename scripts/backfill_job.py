@@ -9,8 +9,12 @@ Submit to a running Ray cluster:
 
 On the fixed-size cluster the job connects to the existing head
 (RAY_ADDRESS is set by `ray job submit`); locally it starts a local
-session. Reruns resume: shards whose _lineage.json matches the input
-and plan fingerprints are skipped (state/checkpoint.py).
+session. Every shard still to compute runs in one Ray Data execution,
+and each shard commits as soon as its rows are written, so a killed
+job keeps every shard it finished. Reruns resume: shards whose
+_lineage.json matches the input fingerprint (path, size, mtime) and
+the plan fingerprint (feature names, fitted values) are skipped
+(state/checkpoint.py).
 """
 
 from __future__ import annotations
