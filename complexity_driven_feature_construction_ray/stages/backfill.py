@@ -44,10 +44,8 @@ class FeatureBackfill:
 
         cols = numpy_base_columns(batch, self.needed)
         out = self.run(cols)
-        # keep_input=False keeps the row keys: doc_id, and the `path` a
-        # read_parquet(include_paths=True) adds (resumable_backfill's shard tag)
         result = batch if self.keep_input else batch.select(
-            [c for c in ("doc_id", "path") if c in batch.column_names]
+            [c for c in ("doc_id",) if c in batch.column_names]
         )
         for f in self.ordered:
             if f.name in result.column_names:

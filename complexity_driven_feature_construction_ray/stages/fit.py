@@ -386,7 +386,10 @@ def fit_distributed(
                 part_batch, batch_format="pyarrow", batch_size=None
             ).take_all()
             all_parts: dict[str, list] = {f.name: [] for f in plans}
-            for r in rows:
+            # take_all returns partials in task completion order; float
+            # merges are order-sensitive, so merge in blob order to fit
+            # the same values (and plan fingerprint) on every rerun
+            for r in sorted(rows, key=lambda r: r["blob"]):
                 for name, p in pickle.loads(r["blob"]).items():
                     all_parts[name].append(p)
             for f in plans:

@@ -8,8 +8,11 @@ rename) with a `_lineage.json` recording the input fingerprint (path,
 size, mtime), the plan hash (feature names, fitted values), row counts
 and stage metrics; a rerun skips shards whose lineage still matches.
 All pending shards run as ONE Ray Data execution whose last stage
-writes each shard's rows; the driver commits a shard as soon as all of
-its rows are written, so a kill loses only the shards still in flight.
+writes each shard's rows; the driver commits a shard as soon as the
+task holding its last rows ends. No read block spans two shards, and a
+backfill task bundles whole blocks up to `batch_size` rows, so a kill
+loses the shards in running tasks: one per task when shards hold at
+least `batch_size` rows, a few per task when they are smaller.
 """
 
 from __future__ import annotations
@@ -134,16 +137,25 @@ class LineageStore:
 _MANIFEST = pa.schema([("shard", pa.int64()), ("rows", pa.int64()), ("file", pa.string())])
 
 
-def _write_shards(batch: pa.Table, *, shard_of, tmp_of) -> pa.Table:
+def _write_shards(batch: pa.Table, *, shard_of, tmp_of, features) -> pa.Table:
     """Split a backfilled batch by the shard of each row's `path`, write
     each part into its shard's tmp dir, and return the (shard, rows,
-    file) manifest."""
+    file) manifest. With `features` (keep_input=False) a part holds what
+    FeatureBackfill(keep_input=False) writes: doc_id, then each feature
+    column as float64."""
     written = []
     if batch.num_rows:
         paths = pc.dictionary_encode(batch["path"].combine_chunks())
         codes = np.array([shard_of[p] for p in paths.dictionary.to_pylist()])
         shard = codes[paths.indices.to_numpy()]
-        batch = batch.drop_columns(["path"])
+        if features is None:
+            batch = batch.drop_columns(["path"])
+        else:
+            cols = {c: batch[c] for c in ("doc_id",) if c in batch.column_names}
+            for c in features:
+                if c not in cols:
+                    cols[c] = np.asarray(batch[c].to_numpy(zero_copy_only=False), np.float64)
+            batch = pa.table(cols)
         for s in np.unique(shard).tolist():
             part, name = batch.filter(pa.array(shard == s)), f"{uuid.uuid4().hex}.parquet"
             pq.write_table(part, os.path.join(tmp_of[s], name))
@@ -169,8 +181,11 @@ def resumable_backfill(
     matches their input + plan fingerprints are skipped; the rest stream
     through token-stats + FeatureBackfill tasks in one Ray Data
     execution. A shard commits (rename, then lineage record) as soon as
-    its written rows reach its input row count from the Parquet footers;
-    a shard still short when the stream ends raises and never commits.
+    its written rows reach its input row count from the Parquet footers,
+    that is when the task holding its last rows ends; a task holds one
+    shard, or several when shards are smaller than `batch_size` (see the
+    module docstring). A shard still short when the stream ends raises
+    and never commits.
     A record's `seconds` is run start -> commit and its `stage_metrics`
     are the run's operator stats at commit. `stop_after_shards=N`, a
     test hook simulating a mid-run kill, computes only the first N
@@ -202,24 +217,38 @@ def resumable_backfill(
         for stale in glob.glob(store.shard_dir(i) + ".tmp-*"):
             shutil.rmtree(stale, ignore_errors=True)
         os.makedirs(tmp_of[i])
-    # files in shard order, so shards complete one after another
+    # Files in shard order, one read task per pending shard: Ray splits
+    # the list with np.array_split, and pending shards' file counts
+    # never grow and differ by at most one, so the splits fall on shard
+    # boundaries and no read block mixes two shards. The read's
+    # parallelism is the pending shard count.
     shard_of = {f: i for i in todo for f in shards[i]}
     expect = {i: sum(pq.read_metadata(f).num_rows for f in shards[i]) for i in todo}
+    read = ray.data.read_parquet(list(shard_of), include_paths=True, override_num_blocks=len(todo))
+    # keep_input=True keeps the `path` shard tag; for keep_input=False
+    # the writer keeps FeatureBackfill's columns, in its order
+    ordered = sorted(features, key=lambda f: (f.complexity, f.name))
+    names = list(dict.fromkeys(f.name for f in ordered))
     out = backfill_dataset(
-        token_stats_dataset(ray.data.read_parquet(list(shard_of), include_paths=True)),
+        token_stats_dataset(read),
         features,
         fitted,
         concurrency=concurrency,
         batch_size=batch_size,
-        keep_input=keep_input,
     ).map_batches(
-        functools.partial(_write_shards, shard_of=shard_of, tmp_of=tmp_of),
+        functools.partial(
+            _write_shards,
+            shard_of=shard_of,
+            tmp_of=tmp_of,
+            features=None if keep_input else names,
+        ),
         batch_format="pyarrow",
         batch_size=None,
         concurrency=concurrency,  # the backfill's, so the two stages fuse
     )
     rows, files = dict.fromkeys(todo, 0), {i: set() for i in todo}
-    stream = out.iter_batches(batch_format="pyarrow", batch_size=None)
+    # no prefetch: it holds each manifest back until the next one lands
+    stream = out.iter_batches(batch_format="pyarrow", batch_size=None, prefetch_batches=0)
     for m in itertools.chain(stream, [_MANIFEST.empty_table()]):  # last: 0-row shards
         for i, n, f in zip(*(m[c].to_pylist() for c in _MANIFEST.names)):
             rows[i] += n

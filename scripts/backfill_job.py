@@ -10,11 +10,12 @@ Submit to a running Ray cluster:
 On the fixed-size cluster the job connects to the existing head
 (RAY_ADDRESS is set by `ray job submit`); locally it starts a local
 session. Every shard still to compute runs in one Ray Data execution,
-and each shard commits as soon as its rows are written, so a killed
-job keeps every shard it finished. Reruns resume: shards whose
-_lineage.json matches the input fingerprint (path, size, mtime) and
-the plan fingerprint (feature names, fitted values) are skipped
-(state/checkpoint.py).
+and each shard commits as soon as the task holding its last rows ends,
+so a killed job keeps every shard whose tasks finished. Reruns resume:
+shards whose _lineage.json matches the input fingerprint (path, size,
+mtime) and the plan fingerprint (feature names, fitted values) are
+skipped (state/checkpoint.py). Each run refits; the fit merges its
+partials in a fixed order, so unchanged files fit the same values.
 """
 
 from __future__ import annotations

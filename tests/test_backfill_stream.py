@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -27,8 +28,13 @@ from complexity_driven_feature_construction_ray.functions.expr import (
 )
 from complexity_driven_feature_construction_ray.functions.kernels import fit_on_arrays
 from complexity_driven_feature_construction_ray.sources import write_token_table
+from complexity_driven_feature_construction_ray.sources.token_table import TOKEN_TABLE_SCHEMA
 from complexity_driven_feature_construction_ray.stages.backfill import backfill_dataset
-from complexity_driven_feature_construction_ray.stages.token_stats import token_stats_dataset
+from complexity_driven_feature_construction_ray.stages.fit import fit_distributed
+from complexity_driven_feature_construction_ray.stages.token_stats import (
+    TOKEN_STAT_COLS,
+    token_stats_dataset,
+)
 from complexity_driven_feature_construction_ray.state import resumable_backfill
 from complexity_driven_feature_construction_ray.state.checkpoint import plan_fingerprint
 
@@ -215,40 +221,97 @@ def test_plan_fingerprint_hashes_values_the_same_in_every_process():
         assert got.stdout.strip() == fp
 
 
-def test_mid_stream_failure_keeps_the_shards_committed_before_it(tmp_path, input_dir, ray_session):
-    # the token table with each row tagged by its file's index, so a
-    # custom op can fail on the last shard's rows
-    num_shards, files = 4, []
-    for k, f in enumerate(_files(input_dir)):
+def _fit_distributed(files, feats):
+    """The backfill job's fit: one partial per input file, merged on the driver."""
+    ds = token_stats_dataset(ray.data.read_parquet(files, override_num_blocks=len(files)))
+    return fit_distributed(feats, ds, input_cols=[*TOKEN_TABLE_SCHEMA.names, *TOKEN_STAT_COLS])
+
+
+FLOAT_FITS = [
+    unary("zscore", TOK_MEAN),
+    groupbythen("mean", TOK_MEAN, SOURCE),
+    groupbythen("std", TOK_MEAN, SOURCE),
+]
+
+
+def test_fit_distributed_does_not_depend_on_partial_order(input_dir, ray_session, monkeypatch):
+    # partials come back in task completion order; float sums merged in
+    # another order can differ in the last bit and change the fingerprint
+    files = _files(input_dir)
+    fp = plan_fingerprint(FLOAT_FITS, _fit_distributed(files, FLOAT_FITS))
+    real = ray.data.Dataset.take_all
+    for order in (lambda r: r[::-1], lambda r: r[1::2] + r[::2]):
+        monkeypatch.setattr(ray.data.Dataset, "take_all", lambda ds, *a, _o=order: _o(real(ds, *a)))
+        assert plan_fingerprint(FLOAT_FITS, _fit_distributed(files, FLOAT_FITS)) == fp
+
+
+def test_refit_over_unchanged_files_resumes(tmp_path, input_dir, ray_session):
+    files, out = _files(input_dir), str(tmp_path / "o")
+    runs = [
+        resumable_backfill(files, out, FLOAT_FITS, _fit_distributed(files, FLOAT_FITS), num_shards=4)
+        for _ in range(2)
+    ]
+    first, again = runs
+    assert again["plan_fingerprint"] == first["plan_fingerprint"]
+    assert again["skipped"] == [0, 1, 2, 3] and again["computed"] == []
+
+
+def _tag_parts(files, d):
+    """Copies of `files` with each row tagged by its file's index in `part`."""
+    tagged = []
+    for k, f in enumerate(files):
         t = pq.read_table(f)
-        files.append(str(tmp_path / f"part{k:02d}.parquet"))
-        pq.write_table(t.append_column("part", pa.array([k] * t.num_rows, pa.int32())), files[-1])
-    bad = set(range(num_shards - 1, len(files), num_shards))
-    part = raw("part", properties={"min": 0.0, "max": 7.0})
+        tagged.append(os.path.join(d, f"part{k:02d}.parquet"))
+        pq.write_table(t.append_column("part", pa.array([k] * t.num_rows, pa.int32())), tagged[-1])
+    return tagged
+
+
+PART = raw("part", properties={"min": 0.0, "max": 7.0})
+
+
+def _register_fault(bad, delay_s=0.0):
+    """A custom op that raises, after `delay_s`, on a batch holding a row of a `bad` part."""
 
     def faulty(args, f, state):
         if bad.intersection(args[0].astype(np.int64).tolist()):
+            time.sleep(delay_s)
             raise ValueError("fault on the last shard's rows")
         return args[0] * 0.5
 
-    kw = {"num_shards": num_shards, "concurrency": 1, "batch_size": 100}
     register_op("fault_half", kernel=faulty)
+
+
+def _committed(out):
+    return sorted(
+        int(os.path.basename(os.path.dirname(p))[6:])
+        for p in glob.glob(os.path.join(out, "shard=*", "_lineage.json"))
+    )
+
+
+def _assert_full_records(out, committed):
+    for i in committed:
+        with open(os.path.join(out, f"shard={i:05d}", "_lineage.json")) as fh:
+            rec = json.load(fh)
+        n = sum(pq.read_metadata(f).num_rows for f in rec["input_files"])
+        assert rec["shard"] == i and rec["rows"] == n > 0
+        assert _shard_table(os.path.join(out, f"shard={i:05d}")).num_rows == n
+
+
+def test_mid_stream_failure_keeps_the_shards_committed_before_it(tmp_path, input_dir, ray_session):
+    # each row tagged by its file's index, so a custom op can fail on
+    # the last shard's rows
+    num_shards = 4
+    files = _tag_parts(_files(input_dir), str(tmp_path))
+    kw = {"num_shards": num_shards, "concurrency": 1, "batch_size": 100}
+    _register_fault(set(range(num_shards - 1, len(files), num_shards)))
     try:
-        feats = [custom("fault_half", part), unary("log", N_TOK)]
+        feats = [custom("fault_half", PART), unary("log", N_TOK)]
         out = str(tmp_path / "o")
         with pytest.raises(Exception, match="fault on the last shard"):
             resumable_backfill(files, out, feats, {}, **kw)
-        committed = sorted(
-            int(os.path.basename(os.path.dirname(p))[6:])
-            for p in glob.glob(os.path.join(out, "shard=*", "_lineage.json"))
-        )
+        committed = _committed(out)
         assert committed and num_shards - 1 not in committed
-        for i in committed:
-            with open(os.path.join(out, f"shard={i:05d}", "_lineage.json")) as fh:
-                rec = json.load(fh)
-            n = sum(pq.read_metadata(f).num_rows for f in rec["input_files"])
-            assert rec["shard"] == i and rec["rows"] == n > 0
-            assert _shard_table(os.path.join(out, f"shard={i:05d}")).num_rows == n
+        _assert_full_records(out, committed)
 
         register_op("fault_half", kernel=lambda args, f, state: args[0] * 0.5)
         r = resumable_backfill(files, out, feats, {}, **kw)
@@ -258,5 +321,23 @@ def test_mid_stream_failure_keeps_the_shards_committed_before_it(tmp_path, input
         resumable_backfill(files, full, feats, {}, **kw)
         _assert_same_shards(out, full, num_shards)
         assert not glob.glob(os.path.join(out, "*.tmp-*"))
+    finally:
+        CUSTOM_OPS.pop("fault_half", None)
+
+
+def test_failure_at_default_settings_keeps_every_earlier_shard(tmp_path, ray_session):
+    # shards of more rows than the default batch_size (4096): the read
+    # splits at shard boundaries, so no task holds two shards' rows and
+    # the three healthy shards commit while the last one is failing
+    num_shards, d = 4, str(tmp_path / "in")
+    write_token_table(d, 18_000, num_files=8)
+    files = _tag_parts(_files(d), str(tmp_path))
+    _register_fault(set(range(num_shards - 1, len(files), num_shards)), delay_s=2.0)
+    try:
+        out = str(tmp_path / "o")
+        with pytest.raises(Exception, match="fault on the last shard"):
+            resumable_backfill(files, out, [custom("fault_half", PART)], {}, num_shards=num_shards)
+        assert _committed(out) == [0, 1, 2]
+        _assert_full_records(out, [0, 1, 2])
     finally:
         CUSTOM_OPS.pop("fault_half", None)
