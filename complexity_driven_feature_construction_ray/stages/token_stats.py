@@ -1,11 +1,14 @@
 """Per-row token statistics — the numeric raw features over `tokens`.
 
 The reference's raw features are CSV columns (reference
-reader/Reader.py:15-37); our table's payload is a `list<int32>` token
+reader/Reader.py:15-37); our table's payload is a list-of-integer token
 column, so the numeric raw-feature set is derived once per row here
 (SURVEY.md §7.1): tok_mean, tok_max, tok_min, tok_std,
 tok_distinct_ratio — all computed zero-copy from the Arrow list
 buffers with segmented numpy reductions (no Python loop over rows).
+Distinct counts come from one sort of packed int64 (row, token) keys
+(`_row_value_runs`), exact for every integer width. A row with no
+tokens gets NaN for every stat. Lists of non-integers raise TypeError.
 """
 
 from __future__ import annotations
@@ -17,38 +20,58 @@ import pyarrow.compute as pc
 TOKEN_STAT_COLS = ("tok_mean", "tok_max", "tok_min", "tok_std", "tok_distinct_ratio")
 
 
-def token_stats_arrays(tokens_col) -> dict[str, np.ndarray]:
-    """Segmented reductions over a list<int32> column (Array or ChunkedArray)."""
+def _flat_tokens(tokens_col) -> tuple[np.ndarray, np.ndarray]:
+    """(per-row lengths as int64, flat token ids in their own integer
+    dtype) of a list-of-integer column (Array or ChunkedArray)."""
     arr = tokens_col.combine_chunks() if isinstance(tokens_col, pa.ChunkedArray) else tokens_col
+    value_type = getattr(arr.type, "value_type", None)
+    if value_type is None or not pa.types.is_integer(value_type):
+        raise TypeError(f"token column must be a list of integers, got {arr.type}")
     lengths = pc.list_value_length(arr).to_numpy().astype(np.int64)
-    values = arr.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
+    return lengths, arr.flatten().to_numpy(zero_copy_only=False)
+
+
+def _row_value_runs(lengths: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, length) of each run of equal (row, token) pairs, in (row,
+    token) order: one in-place sort of keys row * span + (token - min).
+    When n_rows * span could overflow int64 the tokens are ranked first
+    (np.unique), so span <= the token count and the keys stay exact."""
+    if not len(flat):
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    # subtract in the ids' own signedness so (token - min) is exact
+    flat = flat.astype(np.uint64 if flat.dtype.kind == "u" else np.int64, copy=False)
+    span = int(flat.max()) - int(flat.min()) + 1
+    if len(lengths) * span >= 1 << 63:
+        flat = np.unique(flat, return_inverse=True)[1].astype(np.int64, copy=False)
+        span = int(flat.max()) + 1
+    key = (flat - flat.min()).astype(np.int64, copy=False)
+    key += np.repeat(np.arange(len(lengths), dtype=np.int64) * np.int64(span), lengths)
+    key.sort()
+    run_starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    return key[run_starts] // span, np.diff(np.append(run_starts, len(key)))
+
+
+def token_stats_arrays(tokens_col) -> dict[str, np.ndarray]:
+    """Segmented reductions over a list-of-integer column (Array or
+    ChunkedArray): float64 sums, max and min over each non-empty row in
+    token order, NaN for every stat of an empty row, and an integer-exact
+    distinct count (`_row_value_runs`). Non-integer lists raise TypeError."""
+    lengths, flat = _flat_tokens(tokens_col)
     n = len(lengths)
-    starts = np.zeros(n, dtype=np.int64)
-    np.cumsum(lengths[:-1], out=starts[1:])
-    row_of = np.repeat(np.arange(n, dtype=np.int64), lengths)
-
-    sums = np.add.reduceat(values, starts)
-    sumsq = np.add.reduceat(values * values, starts)
-    mean = sums / lengths
-    var = np.maximum(sumsq / lengths - mean * mean, 0.0)
-    tmax = np.maximum.reduceat(values, starts)
-    tmin = np.minimum.reduceat(values, starts)
-
-    # distinct count per row: sort within rows, count value-change boundaries
-    order = np.lexsort((values, row_of))
-    sv, sr = values[order], row_of[order]
-    new = np.ones(len(sv), dtype=np.int64)
-    if len(sv) > 1:
-        new[1:] = (sr[1:] != sr[:-1]) | (sv[1:] != sv[:-1])
-    distinct = np.bincount(sr, weights=new, minlength=n)
-
-    return {
-        "tok_mean": mean,
-        "tok_max": tmax,
-        "tok_min": tmin,
-        "tok_std": np.sqrt(var),
-        "tok_distinct_ratio": distinct / lengths,
-    }
+    stats = {name: np.full(n, np.nan) for name in TOKEN_STAT_COLS}
+    rows = np.flatnonzero(lengths)
+    at = (np.cumsum(lengths) - lengths)[rows]
+    cnt = lengths[rows]
+    values = flat.astype(np.float64)
+    mean = np.add.reduceat(values, at) / cnt
+    var = np.maximum(np.add.reduceat(values * values, at) / cnt - mean * mean, 0.0)
+    run_row, _ = _row_value_runs(lengths, flat)
+    stats["tok_mean"][rows] = mean
+    stats["tok_max"][rows] = np.maximum.reduceat(values, at)
+    stats["tok_min"][rows] = np.minimum.reduceat(values, at)
+    stats["tok_std"][rows] = np.sqrt(var)
+    stats["tok_distinct_ratio"][rows] = np.bincount(run_row, minlength=n)[rows] / cnt
+    return stats
 
 
 def add_token_stats(batch: pa.Table) -> pa.Table:
@@ -113,10 +136,8 @@ def bigram_pair_counts(
         A = int(alphabet_bound)
 
         def dense_partial(batch: pa.Table) -> pa.Table:
-            arr = batch[tokens_col]
-            arr = arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
-            lengths = pc.list_value_length(arr).to_numpy().astype(np.int64)
-            flat = arr.flatten().to_numpy(zero_copy_only=False).astype(np.int64)
+            lengths, flat = _flat_tokens(batch[tokens_col])
+            flat = flat.astype(np.int64)
             n = len(flat)
             if n == 0:
                 blob = np.zeros(A * A, dtype=np.int64)
@@ -163,10 +184,8 @@ def bigram_pair_counts(
         )
 
     def partials(batch: pa.Table) -> pa.Table:
-        arr = batch[tokens_col]
-        arr = arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
-        lengths = pc.list_value_length(arr).to_numpy().astype(np.int64)
-        flat = arr.flatten().to_numpy(zero_copy_only=False).astype(np.int64)
+        lengths, flat = _flat_tokens(batch[tokens_col])
+        flat = flat.astype(np.int64)
         n = len(flat)
         if n == 0:
             return pa.table(
@@ -235,10 +254,8 @@ def skipgram_pmi(ds, *, tokens_col: str = "tokens", window: int = 2, mod: int | 
     from .temporal import grouped_map
 
     def partials(batch: pa.Table) -> pa.Table:
-        arr = batch[tokens_col]
-        arr = arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
-        lengths = pc.list_value_length(arr).to_numpy().astype(np.int64)
-        flat = arr.flatten().to_numpy(zero_copy_only=False).astype(np.int64)
+        lengths, flat = _flat_tokens(batch[tokens_col])
+        flat = flat.astype(np.int64)
         if mod:
             flat = flat % mod
         n = len(flat)
@@ -302,32 +319,18 @@ def token_entropy_batch(batch: pa.Table, *, tokens_col: str = "tokens", id_col: 
     """Per-document unigram (Shannon) entropy in nats — the token-
     diversity quality signal (low-entropy docs are boilerplate /
     repetition; used alongside the Gopher repetition rules). Stateless
-    and row-local: sort-within-rows on the zero-copy flat buffer, run-
-    length counts per (row, value), one bincount per batch. No loop
-    over rows."""
-    arr = batch[tokens_col]
-    arr = arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
-    lengths = pc.list_value_length(arr).to_numpy().astype(np.int64)
-    flat = arr.flatten().to_numpy(zero_copy_only=False).astype(np.int64)
-    n_rows = len(lengths)
-    row_of = np.repeat(np.arange(n_rows, dtype=np.int64), lengths)
-    if len(flat):
-        order = np.lexsort((flat, row_of))
-        sv, sr = flat[order], row_of[order]
-        new = np.ones(len(sv), dtype=bool)
-        new[1:] = (sr[1:] != sr[:-1]) | (sv[1:] != sv[:-1])
-        run_starts = np.flatnonzero(new)
-        run_len = np.diff(np.append(run_starts, len(sv))).astype(np.float64)
-        run_row = sr[run_starts]
-        p = run_len / lengths[run_row]
-        h = np.bincount(run_row, weights=-p * np.log(p), minlength=n_rows)
-    else:
-        h = np.zeros(n_rows)
+    and row-local: run-length counts per (row, token) from one packed-
+    key sort (`_row_value_runs`), one bincount per batch. No loop over
+    rows. An empty document's entropy is 0."""
+    lengths, flat = _flat_tokens(batch[tokens_col])
+    run_row, run_len = _row_value_runs(lengths, flat)
+    p = run_len / lengths[run_row]
+    h = np.bincount(run_row, weights=-p * np.log(p), minlength=len(lengths))
     return pa.table(
         {
             id_col: batch[id_col],
             "n_tok": pa.array(lengths),
-            "entropy": pa.array(np.round(h, 6)),
+            "entropy": pa.array(np.round(h, 6), pa.float64()),  # bincount of no runs is int64
         }
     )
 
@@ -345,9 +348,7 @@ def zipf_fit(ds, *, tokens_col: str = "tokens", top_ranks: int = 1000):
     from .temporal import grouped_map
 
     def partials(batch: pa.Table) -> pa.Table:
-        arr = batch[tokens_col]
-        arr = arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
-        flat = arr.flatten().to_numpy(zero_copy_only=False).astype(np.int64)
+        flat = _flat_tokens(batch[tokens_col])[1].astype(np.int64)
         uniq, cnt = np.unique(flat, return_counts=True)
         return pa.table({"tok": pa.array(uniq), "n": pa.array(cnt.astype(np.int64))})
 
@@ -400,10 +401,8 @@ def token_grep(ds, needle, *, tokens_col: str = "tokens", id_col: str = "doc_id"
         raise ValueError("empty needle")
 
     def scan(batch: pa.Table) -> pa.Table:
-        arr = batch[tokens_col]
-        arr = arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
-        lengths = pc.list_value_length(arr).to_numpy().astype(np.int64)
-        values = arr.flatten().to_numpy(zero_copy_only=False).astype(np.int64)
+        lengths, values = _flat_tokens(batch[tokens_col])
+        values = values.astype(np.int64)
         if mod is not None:
             values = values % mod
         n_rows = len(lengths)
