@@ -1,4 +1,5 @@
-"""Small Arrow helpers shared by the embedding/dedup/similarity stages."""
+"""Small Arrow and numpy helpers shared by the embedding, dedup,
+similarity, token and temporal stages."""
 
 from __future__ import annotations
 
@@ -55,6 +56,33 @@ def sorted_lookup(sorted_keys: np.ndarray, values: np.ndarray):
         return np.zeros(len(values), dtype=np.int64), np.zeros(len(values), dtype=bool)
     idx = np.clip(np.searchsorted(sorted_keys, values), 0, len(sorted_keys) - 1)
     return idx, sorted_keys[idx] == values
+
+
+def packed_keys(group: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, int]:
+    """(key, span): int64 keys that order rows by (group, value), with
+    key = group * span + rank, so key // span gives the group back.
+    `group` holds non-negative integers. Integer and NaT-free datetime
+    values rank as value - min; floats, NaN or NaT, and a group count
+    times span past int64 rank through np.unique's inverse instead
+    (NaN and NaT rank last and equal, as a sort puts them), so span <=
+    len(values) there. Equal keys are equal (group, value) pairs."""
+    if not len(values):
+        return np.zeros(0, dtype=np.int64), 1
+    if values.dtype.kind in "Mm" and not np.isnat(values).any():
+        values = values.view(np.int64)
+    if values.dtype.kind in "iu":
+        # subtract in the values' own signedness so value - min is exact
+        values = values.astype(np.uint64 if values.dtype.kind == "u" else np.int64, copy=False)
+        lo = values.min()
+        span = int(values.max()) - int(lo) + 1
+        if span <= (1 << 63) // (int(group.max()) + 1):
+            key = (values - lo).astype(np.int64, copy=False)
+            key += group * np.int64(span)
+            return key, span
+    key = np.unique(values, return_inverse=True)[1].reshape(-1).astype(np.int64, copy=False)
+    span = int(key.max()) + 1
+    key += group * np.int64(span)
+    return key, span
 
 
 def _fold_dtype(dtype: np.dtype) -> np.dtype:

@@ -27,7 +27,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
+
+from .token_stats import _flat_tokens, bigram_pair_counts
 
 
 def merge_pair_flat(
@@ -67,17 +68,6 @@ def merge_pair_flat(
     return out[keep], lengths - merged_per_row
 
 
-def _flat_view(tokens_col) -> tuple[np.ndarray, np.ndarray]:
-    arr = (
-        tokens_col.combine_chunks()
-        if isinstance(tokens_col, pa.ChunkedArray)
-        else tokens_col
-    )
-    lengths = pc.list_value_length(arr).to_numpy().astype(np.int64)
-    flat = arr.flatten().to_numpy(zero_copy_only=False).astype(np.int64)
-    return flat, lengths
-
-
 def _rebuild(batch: pa.Table, tokens_col: str, flat: np.ndarray, lengths: np.ndarray):
     offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
@@ -105,7 +95,8 @@ def apply_merges(ds, merges, *, tokens_col: str = "tokens"):
         triples = [(int(a), int(b), int(x)) for a, b, x in merges]
 
     def _apply(batch: pa.Table) -> pa.Table:
-        flat, lengths = _flat_view(batch[tokens_col])
+        lengths, flat = _flat_tokens(batch[tokens_col], tokens_col)
+        flat = flat.astype(np.int64)
         for a, b, new_id in triples:
             flat, lengths = merge_pair_flat(flat, lengths, a, b, new_id)
         return _rebuild(batch, tokens_col, flat, lengths)
@@ -136,12 +127,10 @@ def bpe_train(
 
     import ray.data
 
-    from .token_stats import bigram_pair_counts
-
     ckpt = checkpoint_dir or tempfile.mkdtemp(prefix="bpe_", dir="/tmp")
 
     def max_partial(batch: pa.Table) -> pa.Table:
-        flat, _ = _flat_view(batch[tokens_col])
+        flat = _flat_tokens(batch[tokens_col], tokens_col)[1]
         m = int(flat.max()) if len(flat) else -1
         return pa.table({"m": pa.array([m], type=pa.int64())})
 

@@ -2,8 +2,10 @@
 lands in (`bucket_of`) and how many buckets there are (`default_buckets`).
 
 Every windowed / as-of / grouped-map / dedup stage hashes entities into
-B buckets and processes each bucket as ONE in-memory table inside
-groupby(bucket).map_groups. `stages/temporal.py:grouped_map` (one
+B buckets and processes each bucket as ONE in-memory table: the
+exchange range-partitions rows at the bucket ids, one reducer block per
+bucket, and calls the stage's function once per block.
+`stages/temporal.py:grouped_map` (one
 input) and `fused_exchange` (two) are the one place every hash
 exchange (temporal, partition, relational, dedup and text stages)
 assigns buckets, always through `bucket_of`. B scales with DATA SIZE
@@ -29,7 +31,7 @@ import pyarrow.compute as pc
 
 _HASH_KEY = "0123456789123456"  # fixed pandas hash key => cross-process determinism
 
-# One bucket materializes as a single Arrow table in a map_groups task.
+# One bucket materializes as a single Arrow table in one exchange task.
 # 250k rows of ~1 KiB documents ~= 256 MiB — safely inside a worker
 # heap at concurrency x per-task overhead; override per call for wide
 # payloads (images) via target_rows.

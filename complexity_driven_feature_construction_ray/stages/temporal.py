@@ -8,12 +8,14 @@ Partitioning model: every entity is hashed to exactly one of B buckets
 (`bucketing.bucket_of`, stable across processes — NOT Python's salted
 hash()), so no entity ever straddles a partition boundary. One input
 goes through `grouped_map`, two (probe and event rows) through
-`fused_exchange`; they are the only exchanges here. Inside a bucket
-every window is one sorted scan (`_sorted` + `_windows`: the
+`fused_exchange`; they are the only exchanges here, and both
+range-partition the bucket-tagged rows at the known bucket boundaries
+(one reducer per bucket, no sampling pass). Inside a bucket every
+window is one sorted scan (`_sorted` + `_windows`: the Arrow
 (key, ts, tiebreak) sort, the same-entity mask, lag/lead and
-sessions), and the as-of attach is one cursor (`_asof_match`: a
-stable lexsort of probe and event rows by (key, ts) and a running
-max of the last event seen). Zero temporal leakage holds by
+sessions), and the as-of attach is one cursor (`_asof_match`: the
+events sorted once by a packed (key, ts) int64, every probe placed by
+a binary search). Zero temporal leakage holds by
 construction: only events with event_ts <= probe_ts can be selected;
 tests verify row-by-row against a brute-force oracle.
 
@@ -32,15 +34,20 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .arrowutil import packed_keys
 from .bucketing import bucket_of, default_buckets
 
 
 def _sort_order(t: pa.Table, cols: list[str]) -> np.ndarray:
-    """Stable sort permutation over (small) sort-key columns only; the
-    caller applies it to the wide table with Table.take so payload
-    columns (token lists etc.) never pass through pandas."""
-    df = pd.DataFrame({c: t[c].to_numpy(zero_copy_only=False) for c in cols})
-    return df.sort_values(cols, kind="stable").index.to_numpy()
+    """Stable sort permutation over the sort-key columns, nulls (and
+    NaN) last; the caller applies it to the wide table with Table.take.
+    Arrow sorts neither dictionary columns nor NaN as null, so those
+    keys are decoded and NaN nulled first."""
+    keys = {c: pc.cast(t[c], t[c].type.value_type) if pa.types.is_dictionary(t[c].type)
+            else t[c] for c in cols}
+    keys = {c: pc.if_else(pc.is_nan(k), pa.scalar(None, k.type), k)
+            if pa.types.is_floating(k.type) else k for c, k in keys.items()}
+    return pc.sort_indices(pa.table(keys), sort_keys=[(c, "ascending") for c in keys]).to_numpy()
 
 
 def _shift_within(v: np.ndarray, same: np.ndarray, n: int):
@@ -122,12 +129,13 @@ def grouped_map(ds, key, fn, *, num_buckets: int | None = None, batch_format="pa
     For per-entity logic that is already vectorized across entities
     (pandas groupby inside `fn`), this replaces groupby(key).map_groups
     — which pays a Python call per DISTINCT KEY (10k users = 10k calls)
-    — with one call per bucket (one per CPU on small inputs). `fn` must
-    group by `key` itself; every row of a key lands in exactly one
-    bucket (`bucketing.bucket_of`).
+    — with one call per non-empty bucket (one per CPU on small
+    inputs). `fn` must group by `key` itself; every row of a key lands
+    in exactly one bucket (`bucketing.bucket_of`), and `fn` gets all
+    of that bucket's rows in one batch.
 
     materialize_input=True snapshots the bucket-tagged stream into the
-    object store BEFORE the groupby's sort exchange. Ray 2.49's
+    object store BEFORE the exchange's sort. Ray 2.49's
     streaming planner degrades super-linearly when a Sort is chained
     behind a deep map/union plan (measured 70–90s vs ~12s over the
     same 2.6M rows in the dedup pair scan); use it when grouped_map
@@ -155,7 +163,7 @@ def fused_exchange(first, second, key, fn, *, num_buckets: int | None = None):
     header probe inside `fn` must check for a hit (`sorted_lookup`).
     The tag never reaches `fn`. Both sides must carry one schema (pad
     the other side's columns): Ray's union expects the same schema in
-    every block. `fn` returns what `map_groups` accepts; a callback
+    every block. `fn` returns what `map_batches` accepts; a callback
     written for pandas calls `.to_pandas()` itself. `num_buckets`
     defaults to `default_buckets(first, second)`, so a caller that
     tags or pads its inputs first sizes B from the untagged inputs.
@@ -169,7 +177,10 @@ def _exchange(inputs, key, fn, B: int, batch_format, materialize_input=False):
     and fused_exchange (two, `fn(first_rows, second_rows)`). Each input
     tags its rows with their key's bucket (and, with two inputs, its
     side) in its own map, before the union: a tag added after the union
-    would be one more task per block. Both the tagged input and the
+    would be one more task per block. A sort on the bucket id at the
+    boundaries 1..B-1 makes each bucket one reducer's block, in the row
+    order a groupby(bucket).map_groups gave, and a whole-block map calls
+    `fn` once per non-empty block. Both the tagged input and the
     callback's output drop their schema metadata: Parquet written from
     pandas carries a `pandas` dict there, and Ray cannot hash such a
     schema when it dedups block schemas."""
@@ -185,6 +196,8 @@ def _exchange(inputs, key, fn, B: int, batch_format, materialize_input=False):
         return tag
 
     def run(g):
+        if not len(g):  # an empty bucket: no call
+            return
         if len(inputs) == 1:
             out = fn(g.drop(columns=tags) if hasattr(g, "drop") else g.drop_columns(tags))
         else:
@@ -192,13 +205,16 @@ def _exchange(inputs, key, fn, B: int, batch_format, materialize_input=False):
             g = g.drop_columns(tags)
             out = fn(g.filter(pc.invert(second_rows)), g.filter(second_rows))
         # a callback's pa.Table.from_pandas output carries the same dict
-        return out.replace_schema_metadata(None) if isinstance(out, pa.Table) else out
+        yield out.replace_schema_metadata(None) if isinstance(out, pa.Table) else out
 
     tagged = [ds.map_batches(tagger(i), batch_format="pyarrow") for i, ds in enumerate(inputs)]
     both = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
     if materialize_input:
         both = both.materialize()
-    return both.groupby("__gm_bucket").map_groups(run, batch_format=batch_format)
+    # known boundaries skip Ray's sampling pass; an empty list would
+    # sample, so B=1 keeps [1] and one always-empty partition
+    return both.sort("__gm_bucket", boundaries=list(range(1, max(B, 2)))).map_batches(
+        run, batch_format=batch_format, batch_size=None)
 
 
 def row_number(
@@ -362,29 +378,22 @@ def _asof_match(pk, pt, ek, et, *, forward: bool, allow_exact: bool, tol=None) -
     the probe's key, the last with et <= pt (the first with et >= pt
     when `forward`; strict when not `allow_exact`), at most `tol` away.
     Equal-ts events resolve to the last (first when `forward`) in
-    arrival order, as pd.merge_asof does. The cursor is one stable
-    lexsort of both sides by (key, ts), with an event placed before a
-    probe of the same (key, ts) when it may attach to it, and a running
-    max (min, scanning back) of the last event position seen. Null keys
-    never match."""
-    ne, n = len(ek), len(ek) + len(pk)
+    arrival order, as pd.merge_asof does. The cursor sorts the events
+    once, stably, by a packed (key, ts) int64 (`arrowutil.packed_keys`;
+    NaT and NaN sort last) and places every probe with one binary
+    search. Null keys never match."""
+    ne = len(ek)
     hit = np.full(len(pk), -1, dtype=np.int64)
-    if ne == 0 or n == ne:
+    if ne == 0 or len(pk) == 0:
         return hit
     codes = pd.factorize(np.concatenate([ek, pk]))[0]
-    ev_first = allow_exact != forward
-    side = np.repeat([not ev_first, ev_first], [ne, n - ne])
-    order = np.lexsort((side, np.concatenate([et, pt]), codes))
-    is_ev = order < ne
-    pos = np.arange(n)
-    if forward:
-        seen = np.minimum.accumulate(np.where(is_ev, pos, n)[::-1])[::-1]
-    else:
-        seen = np.maximum.accumulate(np.where(is_ev, pos, -1))
-    probe, at = order[~is_ev], seen[~is_ev]
-    src = order[np.clip(at, 0, n - 1)]
-    ok = (at >= 0) & (at < n) & (codes[src] == codes[probe]) & (codes[probe] >= 0)
-    hit[probe - ne] = np.where(ok, src, -1)
+    key = packed_keys(codes + 1, np.concatenate([et, pt]))[0]
+    order = np.argsort(key[:ne], kind="stable")
+    at = np.searchsorted(key[:ne][order], key[ne:],
+                         side="left" if forward == allow_exact else "right") - (not forward)
+    src = order[np.clip(at, 0, ne - 1)]
+    hit = np.where((at >= 0) & (at < ne) & (codes[src] == codes[ne:]) & (codes[ne:] >= 0),
+                   src, -1)
     if tol is not None:
         m = hit >= 0
         hit[m] = np.where(np.abs(pt[m] - et[hit[m]]) <= tol, hit[m], -1)
@@ -492,8 +501,8 @@ def asof_join(
 
     Implementation: temporal_attach's exchange and cursor with no
     window columns — probe and event rows co-grouped by entity in one
-    `fused_exchange`, then per bucket one lexsort cursor over both
-    sides (`_asof_match`).
+    `fused_exchange`, then per bucket one binary-search cursor of the
+    probes over the sorted events (`_asof_match`).
 
     Pass `probe_schema` / `event_schema` when that side is a lazy
     map_batches lineage: ds.schema() on such a dataset EXECUTES the
@@ -576,8 +585,8 @@ def temporal_attach(
 
     asof_join followed by windowed shuffles the wide probe table twice
     (both bucket by the same entity key); here events ride along in the
-    same exchange and the as-of lookup is a cursor over the bucket's
-    probe and event rows (`_asof_match`) — the probe sort order is
+    same exchange and the as-of lookup is a cursor of the bucket's
+    probes over its sorted events (`_asof_match`) — the probe sort order is
     (key, ts, tiebreak), which also serves the window pass, so payload
     columns move exactly once."""
     return _attach(

@@ -17,38 +17,54 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .arrowutil import packed_keys
+
 TOKEN_STAT_COLS = ("tok_mean", "tok_max", "tok_min", "tok_std", "tok_distinct_ratio")
 
 
-def _flat_tokens(tokens_col) -> tuple[np.ndarray, np.ndarray]:
+def _flat_tokens(tokens_col, name: str = "tokens") -> tuple[np.ndarray, np.ndarray]:
     """(per-row lengths as int64, flat token ids in their own integer
-    dtype) of a list-of-integer column (Array or ChunkedArray)."""
+    dtype) of a list-of-integer column `name` (Array or ChunkedArray).
+    A list of non-integers raises TypeError; a null list row or a null
+    id raises ValueError."""
     arr = tokens_col.combine_chunks() if isinstance(tokens_col, pa.ChunkedArray) else tokens_col
     value_type = getattr(arr.type, "value_type", None)
     if value_type is None or not pa.types.is_integer(value_type):
-        raise TypeError(f"token column must be a list of integers, got {arr.type}")
+        raise TypeError(f"token column {name!r} must be a list of integers, got {arr.type}")
+    flat = arr.flatten()
+    if arr.null_count or flat.null_count:
+        raise ValueError(f"token column {name!r} holds a null {'row' if arr.null_count else 'id'}")
     lengths = pc.list_value_length(arr).to_numpy().astype(np.int64)
-    return lengths, arr.flatten().to_numpy(zero_copy_only=False)
+    return lengths, flat.to_numpy(zero_copy_only=False)
 
 
 def _row_value_runs(lengths: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(row, length) of each run of equal (row, token) pairs, in (row,
-    token) order: one in-place sort of keys row * span + (token - min).
-    When n_rows * span could overflow int64 the tokens are ranked first
-    (np.unique), so span <= the token count and the keys stay exact."""
+    token) order: one in-place sort of `arrowutil.packed_keys` (row,
+    token) keys, exact for every integer width."""
     if not len(flat):
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    # subtract in the ids' own signedness so (token - min) is exact
-    flat = flat.astype(np.uint64 if flat.dtype.kind == "u" else np.int64, copy=False)
-    span = int(flat.max()) - int(flat.min()) + 1
-    if len(lengths) * span >= 1 << 63:
-        flat = np.unique(flat, return_inverse=True)[1].astype(np.int64, copy=False)
-        span = int(flat.max()) + 1
-    key = (flat - flat.min()).astype(np.int64, copy=False)
-    key += np.repeat(np.arange(len(lengths), dtype=np.int64) * np.int64(span), lengths)
+    key, span = packed_keys(np.repeat(np.arange(len(lengths), dtype=np.int64), lengths), flat)
     key.sort()
     run_starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
     return key[run_starts] // span, np.diff(np.append(run_starts, len(key)))
+
+
+_PAIR_LOW = 1 << 31
+
+
+def _pack_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """int64 key per (a, b) token pair, ordered as (a, b): a in the high
+    32 bits, b + 2**31 in the low 32. Ids outside int32 raise ValueError
+    rather than collide."""
+    for ids in (a, b):
+        if len(ids) and (ids.min() < -_PAIR_LOW or ids.max() >= _PAIR_LOW):
+            raise ValueError("token ids must fit in int32 to be counted as pairs")
+    return (a.astype(np.int64) << 32) | (b.astype(np.int64) + _PAIR_LOW)
+
+
+def _unpack_pairs(pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return pair >> 32, (pair & 0xFFFFFFFF) - _PAIR_LOW
 
 
 def token_stats_arrays(tokens_col) -> dict[str, np.ndarray]:
@@ -110,7 +126,7 @@ def bigram_pair_counts(
     counting step of one BPE merge (Sennrich et al. 2016) and the
     bigram table vocabulary analyses start from.
 
-    Per-batch segmented pair encode ((a << 32) | b over the zero-copy
+    Per-batch segmented pair encode (`_pack_pairs` over the zero-copy
     list buffers) + np.unique partials -> pair-hash bucket shuffle with
     one C-level groupby-sum + local top-k per bucket (grouped_map; a
     Ray Aggregate here pays ~Python-per-distinct-key and measured 43 s
@@ -136,7 +152,7 @@ def bigram_pair_counts(
         A = int(alphabet_bound)
 
         def dense_partial(batch: pa.Table) -> pa.Table:
-            lengths, flat = _flat_tokens(batch[tokens_col])
+            lengths, flat = _flat_tokens(batch[tokens_col], tokens_col)
             flat = flat.astype(np.int64)
             n = len(flat)
             if n == 0:
@@ -184,7 +200,7 @@ def bigram_pair_counts(
         )
 
     def partials(batch: pa.Table) -> pa.Table:
-        lengths, flat = _flat_tokens(batch[tokens_col])
+        lengths, flat = _flat_tokens(batch[tokens_col], tokens_col)
         flat = flat.astype(np.int64)
         n = len(flat)
         if n == 0:
@@ -197,7 +213,7 @@ def bigram_pair_counts(
         # the previous row's end / the global tail, both already False)
         valid[ends - 1] = False
         pos = np.flatnonzero(valid)
-        key = (flat[pos] << 32) | flat[pos + 1]
+        key = _pack_pairs(flat[pos], flat[pos + 1])
         uniq, cnt = np.unique(key, return_counts=True)
         return pa.table({"pair": pa.array(uniq), "n": pa.array(cnt.astype(np.int64))})
 
@@ -218,14 +234,8 @@ def bigram_pair_counts(
     )
 
     def decode(batch: pa.Table) -> pa.Table:
-        pair = batch["pair"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "a": pa.array(pair >> 32),
-                "b": pa.array(pair & 0xFFFFFFFF),
-                "n": batch["n"],
-            }
-        )
+        a, b = _unpack_pairs(batch["pair"].to_numpy(zero_copy_only=False))
+        return pa.table({"a": pa.array(a), "b": pa.array(b), "n": batch["n"]})
 
     return (
         counts.sort(["n", "pair"], descending=[True, False])
@@ -254,7 +264,7 @@ def skipgram_pmi(ds, *, tokens_col: str = "tokens", window: int = 2, mod: int | 
     from .temporal import grouped_map
 
     def partials(batch: pa.Table) -> pa.Table:
-        lengths, flat = _flat_tokens(batch[tokens_col])
+        lengths, flat = _flat_tokens(batch[tokens_col], tokens_col)
         flat = flat.astype(np.int64)
         if mod:
             flat = flat % mod
@@ -277,11 +287,11 @@ def skipgram_pmi(ds, *, tokens_col: str = "tokens", window: int = 2, mod: int | 
                     flat[sel] * mod + flat[sel + d], minlength=mod * mod
                 )
             nz = np.flatnonzero(dense)
-            uniq = ((nz // mod) << 32) | (nz % mod)
+            uniq = _pack_pairs(nz // mod, nz % mod)
             cnt = dense[nz]
         else:
             keys = [
-                (flat[sel] << 32) | flat[sel + d]
+                _pack_pairs(flat[sel], flat[sel + d])
                 for d in range(1, window + 1)
                 for sel in (np.flatnonzero(rem > d),)
             ]
@@ -300,8 +310,7 @@ def skipgram_pmi(ds, *, tokens_col: str = "tokens", window: int = 2, mod: int | 
     cells = grouped_map(
         ds.map_batches(partials, batch_format="pyarrow"), "pair", bucket_sum
     ).to_pandas()
-    a = (cells["pair"].to_numpy(np.int64) >> 32).astype(np.int64)
-    b = (cells["pair"].to_numpy(np.int64) & 0xFFFFFFFF).astype(np.int64)
+    a, b = _unpack_pairs(cells["pair"].to_numpy(np.int64))
     cnt = cells["n"].to_numpy(np.int64)
     N = float(cnt.sum())
     ca = pd.Series(cnt).groupby(a).transform("sum").to_numpy(np.float64)
@@ -322,7 +331,7 @@ def token_entropy_batch(batch: pa.Table, *, tokens_col: str = "tokens", id_col: 
     and row-local: run-length counts per (row, token) from one packed-
     key sort (`_row_value_runs`), one bincount per batch. No loop over
     rows. An empty document's entropy is 0."""
-    lengths, flat = _flat_tokens(batch[tokens_col])
+    lengths, flat = _flat_tokens(batch[tokens_col], tokens_col)
     run_row, run_len = _row_value_runs(lengths, flat)
     p = run_len / lengths[run_row]
     h = np.bincount(run_row, weights=-p * np.log(p), minlength=len(lengths))
@@ -348,7 +357,7 @@ def zipf_fit(ds, *, tokens_col: str = "tokens", top_ranks: int = 1000):
     from .temporal import grouped_map
 
     def partials(batch: pa.Table) -> pa.Table:
-        flat = _flat_tokens(batch[tokens_col])[1].astype(np.int64)
+        flat = _flat_tokens(batch[tokens_col], tokens_col)[1].astype(np.int64)
         uniq, cnt = np.unique(flat, return_counts=True)
         return pa.table({"tok": pa.array(uniq), "n": pa.array(cnt.astype(np.int64))})
 
@@ -401,7 +410,7 @@ def token_grep(ds, needle, *, tokens_col: str = "tokens", id_col: str = "doc_id"
         raise ValueError("empty needle")
 
     def scan(batch: pa.Table) -> pa.Table:
-        lengths, values = _flat_tokens(batch[tokens_col])
+        lengths, values = _flat_tokens(batch[tokens_col], tokens_col)
         values = values.astype(np.int64)
         if mod is not None:
             values = values % mod

@@ -3,11 +3,13 @@ tokens with one sort of packed int64 (row, token) keys. The two-key
 lexsort formulation they replaced is kept here as the reference: on
 rows with tokens every stat and the entropy must be bit-equal to it.
 Empty rows get NaN stats (never a neighbour's), wide integer ids count
-exactly, and lists of non-integers are refused."""
+exactly, and lists of non-integers, null ids and null rows are refused.
+Pair counts keep negative ids apart and refuse ids outside int32."""
 
 import glob
 import os
 import re
+from collections import Counter
 
 import numpy as np
 import pyarrow as pa
@@ -15,12 +17,16 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import pytest
+import ray
 
 from complexity_driven_feature_construction_ray.functions.expr import raw, unary
 from complexity_driven_feature_construction_ray.functions.kernels import fit_on_arrays
 from complexity_driven_feature_construction_ray.sources.token_table import token_table_arrow
+from complexity_driven_feature_construction_ray.stages.bpe import apply_merges
 from complexity_driven_feature_construction_ray.stages.token_stats import (
     TOKEN_STAT_COLS,
+    bigram_pair_counts,
+    skipgram_pmi,
     token_entropy_batch,
     token_stats_arrays,
 )
@@ -246,3 +252,53 @@ def test_backfill_over_an_empty_document(tmp_path, ray_session):
         assert all(np.isnan(v) for v in empty[c].to_pylist()), c
     full = got.filter(pc.greater(got["n_tok"], 0))
     assert not any(np.isnan(full[c].to_numpy()).any() for c in TOKEN_STAT_COLS)
+
+
+def test_null_token_id_is_refused():
+    # a null id once read as a garbage int64: tok_distinct_ratio 1.0
+    with pytest.raises(ValueError, match="'tokens' holds a null id"):
+        token_stats_arrays(pa.array([[1, None, 3]], pa.list_(pa.int32())))
+
+
+def test_null_token_row_is_refused():
+    batch = pa.table({"doc_id": [0, 1], "toks": pa.array([[1, 2], None], pa.list_(pa.int64()))})
+    with pytest.raises(ValueError, match="'toks' holds a null row"):
+        token_entropy_batch(batch, tokens_col="toks")
+
+
+PAIR_ROWS = [[1, -1], [2, -1], [-3, 4, -3, 4], [2**31 - 1, -2**31, 7], [2, -1]]
+
+
+def _pair_table(rows):
+    return pa.table({"tokens": pa.array(rows, pa.list_(pa.int64()))})
+
+
+def test_pair_counts_keep_negative_and_wide_ids_apart(ray_session):
+    # (a << 32) | b once let a negative b cover a: (1, -1) and (2, -1)
+    # both packed to -1 and counted as one pair
+    counts = Counter((a, b) for r in PAIR_ROWS for a, b in zip(r, r[1:]))
+    want = sorted(((a, b, n) for (a, b), n in counts.items()), key=lambda t: (-t[2], t[0], t[1]))
+    ds = ray.data.from_arrow(_pair_table(PAIR_ROWS))
+    got = bigram_pair_counts(ds, k=10).to_pandas()
+    assert list(zip(got["a"], got["b"], got["n"])) == want
+    pmi = skipgram_pmi(ds, window=1, mod=None, k=10)
+    assert sorted(zip(pmi["a"], pmi["b"], pmi["n"])) == sorted(want)
+
+
+@pytest.mark.parametrize("bad", [2**31, -2**31 - 1])
+def test_pair_counts_refuse_ids_outside_int32(ray_session, bad):
+    ds = ray.data.from_arrow(_pair_table([[1, bad, 1]]))
+    with pytest.raises(Exception, match="int32"):
+        bigram_pair_counts(ds, k=5).to_pandas()
+    with pytest.raises(Exception, match="int32"):
+        skipgram_pmi(ds, window=1, mod=None)
+
+
+def test_bpe_refuses_a_float_token_column(ray_session):
+    # BPE's flatten once cast a float list to int64 without a word
+    ds = ray.data.from_arrow(pa.table(
+        {"tokens": pa.array([[1.0, 2.0, 1.0, 2.0]], pa.list_(pa.float64()))}))
+    # Ray re-raises the task's TypeError wrapped, with its message
+    with pytest.raises(Exception, match=re.escape(
+            "TypeError: token column 'tokens' must be a list of integers, got list<item: double>")):
+        apply_merges(ds, [(1, 2, 3)]).take_all()
